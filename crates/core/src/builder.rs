@@ -6,33 +6,36 @@
 //! model-level costs (rounds per phase and message statistics) the paper's theorems
 //! bound.
 //!
-//! Two entry points exist:
+//! One driver runs the pipeline: each paper phase is a [`Phase`] value executed by a
+//! [`PhaseExecutor`], and the typed hand-offs between stages (survivor-core
+//! extraction, BFS convergence, tree validation) are computed once, from the
+//! executor's per-node summaries. The entry points differ only in the medium and in
+//! how they report:
 //!
-//! * [`OverlayBuilder::build`] — the paper's setting: a clean network; any phase
-//!   failure is an [`OverlayError`].
+//! * [`OverlayBuilder::build`] — the paper's setting: a clean network on the
+//!   simulator; any phase failure is an [`OverlayError`].
 //! * [`OverlayBuilder::build_under_faults`] — the same pipeline run against a
 //!   [`FaultPlan`]; phase failures, crashed nodes and stragglers are *surfaced* in a
 //!   [`BuildReport`] instead of erased into an error, so experiments can measure how
 //!   much of the overlay still forms under churn. If the surviving overlay fragments
 //!   after construction, the pipeline continues on the largest connected component
 //!   (the "core") and reports the fragmentation honestly.
+//! * [`OverlayBuilder::build_over`] — the clean path over any executor, e.g. the
+//!   socket-backed runners of the `overlay-net` crate.
 //!
-//! Both entry points are thin facades over the first-class phase pipeline of
-//! [`crate::pipeline`]: each paper phase is a [`Phase`] value executed by a shared
-//! [`PhaseRunner`], and only the typed hand-offs between stages (survivor-core
-//! extraction, BFS convergence, tree validation) live here. Budgets and transports
-//! resolve per phase — see [`PhaseOverrides`] and the
+//! Budgets and transports resolve per phase — see [`PhaseOverrides`] and the
 //! [`OverlayBuilder::with_phase_overrides`] family.
 
-use crate::bfs::BfsNode;
-use crate::expander::ExpanderNode;
-use crate::pipeline::{Phase, PhaseId, PhaseOverrides, PhaseRunner, TransportChoice};
-use crate::seam::{PhaseExecSpec, PhaseExecutor};
-use crate::wellformed::{BinarizeNode, WellFormedTree};
+use crate::pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, TransportChoice};
+use crate::seam::{
+    ExecutedPhase, ExpanderSummary, PhaseExecSpec, PhaseExecutor, SimExecutor, Summarize,
+};
+use crate::wellformed::WellFormedTree;
 use crate::{benign, ExpanderParams, OverlayError, RoundBudget};
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::faults::{CrashEvent, FaultPlan, Partition};
 use overlay_netsim::trace::SharedTraceSink;
+use overlay_netsim::wire::Wire;
 use overlay_netsim::{MetricsMode, ParallelismConfig, RunMetrics, TransportConfig};
 use std::collections::BTreeMap;
 
@@ -83,13 +86,15 @@ pub struct MessageStats {
 }
 
 impl MessageStats {
-    pub(crate) fn absorb(&mut self, metrics: &RunMetrics) {
+    /// Folds one phase in: `delivered` is the executor's own count (the one
+    /// total every backend observes), everything else comes from `metrics`.
+    fn absorb(&mut self, delivered: u64, metrics: &RunMetrics) {
         self.max_per_node_per_round = self
             .max_per_node_per_round
             .max(metrics.max_sent_in_any_round())
             .max(metrics.max_received_in_any_round());
         // Totals per node add up across phases; take the max over nodes of the sums.
-        self.total_delivered += metrics.total_delivered();
+        self.total_delivered += delivered;
         self.dropped_receive += metrics.total_dropped_receive();
         self.dropped_send += metrics.total_dropped_send();
         self.dropped_fault += metrics.total_dropped_fault() + metrics.total_dropped_partition();
@@ -374,23 +379,7 @@ impl OverlayBuilder {
     /// * [`OverlayError::FinalizeFailed`] if every phase ran but the binarized
     ///   parents did not form a single valid rooted tree.
     pub fn build(&self, g: &DiGraph) -> Result<OverlayResult, OverlayError> {
-        let report = self.build_under_faults(g, &FaultPlan::default())?;
-        match report.result {
-            // The clean path keeps the strict contract: the tree must contain every
-            // node. A fragmented (partial-core) result — possible without faults only
-            // when the w.h.p. connectivity of G_L fails — is an error here, not a
-            // silently smaller tree.
-            Some(result)
-                if report.survivor_ids.len() == g.node_count() && report.tree_valid_over_alive =>
-            {
-                Ok(result)
-            }
-            Some(_) if report.survivor_ids.len() != g.node_count() => {
-                Err(fragmentation_error(&report))
-            }
-            Some(_) => Err(OverlayError::FinalizeFailed),
-            None => Err(failure_error(&report)),
-        }
+        self.build_over(g, &mut self.sim_executor(None))
     }
 
     /// Runs the full pipeline against the given [`FaultPlan`], reporting partial
@@ -415,7 +404,7 @@ impl OverlayBuilder {
         g: &DiGraph,
         faults: &FaultPlan,
     ) -> Result<BuildReport, OverlayError> {
-        self.build_with(g, faults, None)
+        self.run_pipeline(g, faults, &mut self.sim_executor(None))
     }
 
     /// [`OverlayBuilder::build_under_faults`] with a trace sink observing the run:
@@ -433,19 +422,17 @@ impl OverlayBuilder {
         faults: &FaultPlan,
         sink: SharedTraceSink,
     ) -> Result<BuildReport, OverlayError> {
-        self.build_with(g, faults, Some(sink))
+        self.run_pipeline(g, faults, &mut self.sim_executor(Some(sink)))
     }
 
-    /// Runs the clean-path pipeline over a pluggable [`PhaseExecutor`] instead
-    /// of calling the simulator directly.
+    /// Runs the clean-path pipeline over a pluggable [`PhaseExecutor`]: the
+    /// lockstep simulator ([`SimExecutor`]), threads over in-process channels,
+    /// or TCP sockets across OS processes (the `overlay-net` crate).
     ///
-    /// The builder still owns everything *above* the execution medium — input
+    /// The builder owns everything *above* the execution medium — input
     /// validation, phase construction, per-phase seed/budget/transport
-    /// resolution (identical to [`OverlayBuilder::build`]'s), and the typed
-    /// hand-offs between stages — while the executor owns the medium: the
-    /// lockstep simulator ([`crate::seam::SimExecutor`]), threads over
-    /// in-process channels, or TCP sockets across OS processes (the
-    /// `overlay-net` crate). Hand-offs are computed from per-node
+    /// resolution, and the typed hand-offs between stages — while the executor
+    /// owns the medium. Hand-offs are computed from per-node
     /// [`crate::seam::Summarize`] digests, which is what lets a multi-process
     /// executor participate: every process exchanges summaries at phase
     /// boundaries and re-derives the identical hand-off decisions locally.
@@ -453,11 +440,11 @@ impl OverlayBuilder {
     /// This entry point is clean-path only (no [`FaultPlan`]): socket backends
     /// experience *real* asynchrony and failures rather than injected ones.
     /// Per seed, an executor that replicates the simulator's delivery order
-    /// and RNG seeding produces the same [`OverlayResult`] as
-    /// [`OverlayBuilder::build`], except that [`OverlayResult::messages`]
-    /// carries only the executor-counted
-    /// [`MessageStats::total_delivered`] (the per-round peaks are simulator
-    /// bookkeeping no socket backend can observe).
+    /// and RNG seeding produces the same overlay as [`OverlayBuilder::build`].
+    /// [`OverlayResult::messages`] carries the counters the executor observes:
+    /// all of them on a [`SimExecutor`], only
+    /// [`MessageStats::total_delivered`] on a socket backend (drops and
+    /// per-round peaks are simulator bookkeeping no socket backend can see).
     ///
     /// # Errors
     ///
@@ -470,23 +457,42 @@ impl OverlayBuilder {
         g: &DiGraph,
         exec: &mut E,
     ) -> Result<OverlayResult, OverlayError> {
-        let params = self.params;
-        params.validate().map_err(OverlayError::InvalidParams)?;
-        let n = g.node_count();
-        if n == 0 {
-            return Err(OverlayError::EmptyGraph);
+        let report = self.run_pipeline(g, &FaultPlan::default(), exec)?;
+        match report.result {
+            // The clean path keeps the strict contract: the tree must contain every
+            // node. A fragmented (partial-core) result — possible without faults only
+            // when the w.h.p. connectivity of G_L fails — is an error here, not a
+            // silently smaller tree.
+            Some(result)
+                if report.survivor_ids.len() == g.node_count() && report.tree_valid_over_alive =>
+            {
+                Ok(result)
+            }
+            Some(_) if report.survivor_ids.len() != g.node_count() => {
+                Err(fragmentation_error(&report))
+            }
+            Some(_) => Err(OverlayError::FinalizeFailed),
+            None => Err(failure_error(&report)),
         }
-        if !analysis::is_connected(&g.to_undirected()) {
-            return Err(OverlayError::Disconnected);
-        }
-        benign::make_benign(g, &params)?;
+    }
 
-        // Identical resolution to PhaseRunner::run: per-phase seed offset,
-        // override-or-default budget scaled by the clean schedule, and the
-        // override-or-default transport.
-        let spec = |id: PhaseId, clean_rounds: usize| PhaseExecSpec {
-            seed: params.seed.wrapping_add(id.index() as u64),
-            ncc0_cap: params.ncc0_cap,
+    /// The simulator configured from this builder, tracing into `trace`.
+    fn sim_executor(&self, trace: Option<SharedTraceSink>) -> SimExecutor {
+        SimExecutor {
+            parallelism: self.parallelism,
+            metrics_mode: self.metrics_mode,
+            trace,
+        }
+    }
+
+    /// The run parameters of phase `id` with a clean schedule of `clean_rounds`:
+    /// the phase-offset seed, the NCC0 cap, the phase's budget override (or the
+    /// builder-wide budget) scaled to the schedule, and its transport override
+    /// (or the builder-wide transport).
+    fn phase_spec(&self, id: PhaseId, clean_rounds: usize) -> PhaseExecSpec {
+        PhaseExecSpec {
+            seed: self.params.seed.wrapping_add(id.index() as u64),
+            ncc0_cap: self.params.ncc0_cap,
             budget: self
                 .phases
                 .budget(id)
@@ -497,146 +503,19 @@ impl OverlayBuilder {
                 Some(TransportChoice::Bare) => None,
                 Some(TransportChoice::Reliable(config)) => Some(config),
             },
-        };
-        let backend = |e: E::Error| OverlayError::Backend(e.to_string());
-
-        let mut rounds = RoundBreakdown::default();
-        let mut messages = MessageStats::default();
-
-        // Phase 1: CreateExpander over all n nodes.
-        let phase = Phase::create_expander(g, &params, FaultPlan::default());
-        let spec1 = spec(PhaseId::CreateExpander, phase.clean_rounds());
-        let run1 = exec.execute(phase, spec1).map_err(backend)?;
-        rounds.construction = run1.rounds;
-        messages.total_delivered += run1.delivered;
-        if !run1.all_done {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: PhaseId::CreateExpander.name(),
-                budget: spec1.budget,
-            });
-        }
-
-        // Hand-off 1: the survivor-induced final evolution graph, from the
-        // per-node slot summaries (the same computation build_with performs on
-        // full protocol states).
-        let alive1 = run1.alive;
-        let survivors: Vec<usize> = (0..n).filter(|&i| alive1[i]).collect();
-        let slots = SlotEdges::collect_from(
-            run1.summaries
-                .iter()
-                .map(|s| (s.id.index(), s.slots.as_slice())),
-            &alive1,
-        );
-        let full = slots.survivor_graph();
-        let comps = analysis::connected_components(&full.simplify());
-        let mut sizes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for &v in &survivors {
-            *sizes.entry(comps.label(NodeId::from(v))).or_insert(0) += 1;
-        }
-        let component_count = sizes.len();
-        let Some((&core_comp, &core_size)) =
-            sizes.iter().max_by_key(|&(&comp, &size)| (size, comp))
-        else {
-            return Err(OverlayError::Fragmented {
-                components: 0,
-                core_size: 0,
-            });
-        };
-        let core_old_ids: Vec<usize> = survivors
-            .into_iter()
-            .filter(|&v| comps.label(NodeId::from(v)) == core_comp)
-            .collect();
-        if core_old_ids.len() != n {
-            // The strict clean-path contract: the tree must contain every node.
-            return Err(OverlayError::Fragmented {
-                components: component_count,
-                core_size,
-            });
-        }
-        let mut old_to_new = vec![None; n];
-        for (new, &old) in core_old_ids.iter().enumerate() {
-            old_to_new[old] = Some(new);
-        }
-        let expander = slots.remapped(&core_old_ids, &old_to_new);
-
-        // Phase 2: BFS on the expander.
-        let phase = Phase::bfs(&expander, &params, FaultPlan::default());
-        let spec2 = spec(PhaseId::Bfs, phase.clean_rounds());
-        let run2 = exec.execute(phase, spec2).map_err(backend)?;
-        rounds.bfs = run2.rounds;
-        messages.total_delivered += run2.delivered;
-        if !run2.all_done {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: PhaseId::Bfs.name(),
-                budget: spec2.budget,
-            });
-        }
-
-        // Hand-off 2: convergence — one shared root, no self-parents.
-        let alive2 = run2.alive;
-        let bfs = run2.summaries;
-        let root = bfs
-            .iter()
-            .enumerate()
-            .find(|(i, _)| alive2[*i])
-            .map(|(_, b)| b.root);
-        let converged = match root {
-            None => false,
-            Some(root) => bfs.iter().enumerate().all(|(i, node)| {
-                !alive2[i] || (node.root == root && (node.id == root || node.parent != node.id))
-            }),
-        };
-        if !converged {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: "bfs-convergence",
-                budget: spec2.budget,
-            });
-        }
-        let bfs_parents: Vec<NodeId> = bfs.iter().map(|b| b.parent).collect();
-
-        // Phase 3: binarization, constructed from the BFS summaries exactly as
-        // Phase::binarize constructs it from the BFS protocol states.
-        let nodes: Vec<BinarizeNode> = bfs
-            .iter()
-            .map(|b| BinarizeNode::new(b.id, b.parent, b.children.clone()))
-            .collect();
-        let phase = Phase::from_parts(
-            PhaseId::Binarize,
-            nodes,
-            BinarizeNode::total_rounds() + 1,
-            FaultPlan::default(),
-        );
-        let spec3 = spec(PhaseId::Binarize, phase.clean_rounds());
-        let run3 = exec.execute(phase, spec3).map_err(backend)?;
-        rounds.finalize = run3.rounds;
-        messages.total_delivered += run3.delivered;
-        if !run3.all_done {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: PhaseId::Binarize.name(),
-                budget: spec3.budget,
-            });
-        }
-
-        // Hand-off 3: the finalize validation judges binarization's success.
-        let alive3 = run3.alive;
-        let parents: Vec<NodeId> = run3.summaries.iter().map(|s| s.new_parent).collect();
-        match WellFormedTree::from_parents_over(parents, &alive3) {
-            Some(tree) if tree.is_valid_over(&alive3) => Ok(OverlayResult {
-                expander,
-                bfs_parents,
-                tree,
-                rounds,
-                messages,
-            }),
-            _ => Err(OverlayError::FinalizeFailed),
         }
     }
 
-    fn build_with(
+    /// The one pipeline driver behind every entry point: validates the input,
+    /// runs the three phases on `exec` under `faults`, and computes each
+    /// hand-off from the executor's per-node summaries. Everything that happens
+    /// during the run lands in the returned report; only invalid input and
+    /// backend failures are errors.
+    fn run_pipeline<E: PhaseExecutor>(
         &self,
         g: &DiGraph,
         faults: &FaultPlan,
-        sink: Option<SharedTraceSink>,
+        exec: &mut E,
     ) -> Result<BuildReport, OverlayError> {
         let params = self.params;
         params.validate().map_err(OverlayError::InvalidParams)?;
@@ -651,20 +530,14 @@ impl OverlayBuilder {
         // Validates the degree precondition; the protocol nodes recompute their slots
         // locally during the run.
         benign::make_benign(g, &params)?;
-
-        let mut runner =
-            PhaseRunner::new(n, &params, self.round_budget, self.transport, self.phases);
-        runner.set_parallelism(self.parallelism);
-        runner.set_metrics_mode(self.metrics_mode);
-        if let Some(sink) = sink {
-            runner.set_trace_sink(sink);
-        }
+        let mut books = Books::new(n);
 
         // Phase 1: CreateExpander over all n nodes (joiners included; the fault
         // router keeps them dormant until their join round).
-        let Ok(construction) = runner.run(Phase::create_expander(g, &params, faults.clone()))
-        else {
-            return Ok(runner.into_report());
+        let phase = Phase::create_expander(g, &params, faults.clone());
+        let spec = self.phase_spec(PhaseId::CreateExpander, phase.clean_rounds());
+        let Some(construction) = books.run(exec, phase, spec)? else {
+            return Ok(books.close());
         };
         let alive1 = construction.alive;
 
@@ -672,7 +545,7 @@ impl OverlayBuilder {
         // nodes dangle and are pruned. If the survivors fragment, continue on the
         // largest component — the "core" — and report the fragmentation.
         let survivors: Vec<usize> = (0..n).filter(|&i| alive1[i]).collect();
-        let slots = SlotEdges::collect(&construction.nodes, &alive1);
+        let slots = SlotEdges::from_summaries(&construction.summaries, &alive1);
         let full = slots.survivor_graph();
         let comps = analysis::connected_components(&full.simplify());
         let mut sizes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
@@ -684,11 +557,11 @@ impl OverlayBuilder {
             sizes.iter().max_by_key(|&(&comp, &size)| (size, comp))
         else {
             // Everyone crashed during construction.
-            runner.fragmented(0, 0);
-            return Ok(runner.into_report());
+            books.fragmented(0, 0);
+            return Ok(books.close());
         };
         if component_count > 1 {
-            runner.fragmented(component_count, core_size);
+            books.fragmented(component_count, core_size);
         }
         let core_old_ids: Vec<usize> = survivors
             .into_iter()
@@ -699,17 +572,19 @@ impl OverlayBuilder {
             old_to_new[old] = Some(new);
         }
         let m = core_old_ids.len();
-        runner.adopt_core(&core_old_ids);
+        books.report.survivor_ids = core_old_ids.iter().map(|&v| NodeId::from(v)).collect();
         let expander = slots.remapped(&core_old_ids, &old_to_new);
 
         // Phase 2: BFS on the core expander, under the remainder of the fault plan.
         let offset1 = construction.rounds;
         let bfs_faults = remap_plan(&faults.shifted(offset1), &old_to_new);
-        let Ok(bfs_run) = runner.run(Phase::bfs(&expander, &params, bfs_faults)) else {
-            return Ok(runner.into_report());
+        let phase = Phase::bfs(&expander, &params, bfs_faults);
+        let bfs_spec = self.phase_spec(PhaseId::Bfs, phase.clean_rounds());
+        let Some(bfs_run) = books.run(exec, phase, bfs_spec)? else {
+            return Ok(books.close());
         };
         let alive2 = bfs_run.alive;
-        let bfs = bfs_run.nodes;
+        let bfs = bfs_run.summaries;
 
         // Hand-off 2: convergence among the nodes still alive — one shared root,
         // no self-parents.
@@ -717,42 +592,43 @@ impl OverlayBuilder {
             .iter()
             .enumerate()
             .find(|(i, _)| alive2[*i])
-            .map(|(_, b)| b.root());
+            .map(|(_, b)| b.root);
         let converged = match root {
             None => false,
             Some(root) => bfs.iter().enumerate().all(|(i, node)| {
-                !alive2[i]
-                    || (node.root() == root && (node.id() == root || node.parent() != node.id()))
+                !alive2[i] || (node.root == root && (node.id == root || node.parent != node.id))
             }),
         };
         if !converged {
             let agreeing = bfs
                 .iter()
                 .enumerate()
-                .filter(|(i, b)| !alive2[*i] || Some(b.root()) == root)
+                .filter(|(i, b)| !alive2[*i] || Some(b.root) == root)
                 .count();
-            runner.stall(
+            books.stall(
                 "bfs-convergence",
                 bfs_run.rounds,
-                bfs_run.budget,
+                bfs_spec.budget,
                 agreeing,
                 m,
             );
-            return Ok(runner.into_report());
+            return Ok(books.close());
         }
-        let bfs_parents: Vec<NodeId> = bfs.iter().map(BfsNode::parent).collect();
+        let bfs_parents: Vec<NodeId> = bfs.iter().map(|b| b.parent).collect();
 
         // Phase 3: binarization into a well-formed tree.
         let offset2 = offset1 + bfs_run.rounds;
         let bin_faults = remap_plan(&faults.shifted(offset2), &old_to_new);
-        let Ok(bin_run) = runner.run(Phase::binarize(&bfs, bin_faults)) else {
-            return Ok(runner.into_report());
+        let phase = Phase::binarize(&bfs, bin_faults);
+        let bin_spec = self.phase_spec(PhaseId::Binarize, phase.clean_rounds());
+        let Some(bin_run) = books.run(exec, phase, bin_spec)? else {
+            return Ok(books.close());
         };
         let alive3 = bin_run.alive;
-        let parents: Vec<NodeId> = bin_run.nodes.iter().map(BinarizeNode::new_parent).collect();
+        let parents: Vec<NodeId> = bin_run.summaries.iter().map(|s| s.new_parent).collect();
 
         // Hand-off 3: the finalize validation judges binarization's success.
-        let mut report = runner.into_report();
+        let mut report = books.close();
         match WellFormedTree::from_parents_over(parents, &alive3) {
             Some(tree) => {
                 report.phases.push((
@@ -776,7 +652,7 @@ impl OverlayBuilder {
                     "finalize",
                     PhaseOutcome::Stalled {
                         rounds: bin_run.rounds,
-                        budget: bin_run.budget,
+                        budget: bin_spec.budget,
                         nodes_done: alive3.iter().filter(|a| **a).count(),
                         nodes_total: m,
                     },
@@ -785,6 +661,132 @@ impl OverlayBuilder {
             }
         }
         Ok(report)
+    }
+}
+
+/// The books of one pipeline run: the report under construction plus each
+/// node's send total across phases, under its original id.
+struct Books {
+    report: BuildReport,
+    sent_per_node: Vec<u64>,
+}
+
+impl Books {
+    fn new(n: usize) -> Self {
+        Books {
+            report: BuildReport {
+                result: None,
+                phases: Vec::new(),
+                survivor_ids: Vec::new(),
+                alive_at_end: Vec::new(),
+                tree_valid_over_alive: false,
+                rounds: RoundBreakdown::default(),
+                messages: MessageStats::default(),
+                crashed: 0,
+                joined: 0,
+                phase_metrics: Vec::new(),
+            },
+            sent_per_node: vec![0; n],
+        }
+    }
+
+    /// Executes `phase` on `exec` and books it: its rounds, its counters and
+    /// its metric rollup, then either its completion event or its stall. A
+    /// stall returns `None`, which ends the pipeline.
+    fn run<E: PhaseExecutor, P: Summarize + Send>(
+        &mut self,
+        exec: &mut E,
+        phase: Phase<P>,
+        spec: PhaseExecSpec,
+    ) -> Result<Option<ExecutedPhase<P::Summary>>, OverlayError>
+    where
+        P::Message: Wire + Send,
+    {
+        let id = phase.id();
+        let run = exec
+            .execute(phase, spec)
+            .map_err(|e| OverlayError::Backend(e.to_string()))?;
+        match id {
+            PhaseId::CreateExpander => self.report.rounds.construction = run.rounds,
+            PhaseId::Bfs => self.report.rounds.bfs = run.rounds,
+            PhaseId::Binarize => self.report.rounds.finalize = run.rounds,
+            PhaseId::Traffic => unreachable!("the construction pipeline never routes traffic"),
+        }
+        let metrics = &run.metrics;
+        self.report.messages.absorb(run.delivered, metrics);
+        // Once the pipeline runs on the survivor core, a crash at round 0 was
+        // inherited from an earlier phase (pinned there by `FaultPlan::shifted`)
+        // and is already counted, and node `i` is original node `core[i]`.
+        let core = &self.report.survivor_ids;
+        let inherited = if core.is_empty() {
+            0
+        } else {
+            metrics.first_round_crashed()
+        };
+        self.report.crashed += metrics.total_crashed() - inherited;
+        self.report.joined += metrics.total_joined();
+        for (i, sent) in metrics.total_sent_per_node.iter().enumerate() {
+            self.sent_per_node[core.get(i).map_or(i, |v| v.index())] += sent;
+        }
+        self.report
+            .phase_metrics
+            .push(PhaseMetrics::from_run(id.name(), metrics, run.wall));
+        if !run.all_done {
+            self.stall(
+                id.name(),
+                run.rounds,
+                spec.budget,
+                run.nodes_done,
+                run.alive.len(),
+            );
+            return Ok(None);
+        }
+        // Binarization completes only if the `finalize` validation accepts
+        // the tree; that step pushes its event.
+        if id != PhaseId::Binarize {
+            self.report
+                .phases
+                .push((id.name(), PhaseOutcome::Completed { rounds: run.rounds }));
+        }
+        Ok(Some(run))
+    }
+
+    /// Records a stalled phase, or a derived step that failed (`bfs-convergence`).
+    fn stall(
+        &mut self,
+        phase: &'static str,
+        rounds: usize,
+        budget: usize,
+        nodes_done: usize,
+        nodes_total: usize,
+    ) {
+        self.report.phases.push((
+            phase,
+            PhaseOutcome::Stalled {
+                rounds,
+                budget,
+                nodes_done,
+                nodes_total,
+            },
+        ));
+    }
+
+    /// Records the survivors' fragmentation after construction.
+    fn fragmented(&mut self, components: usize, core_size: usize) {
+        self.report.phases.push((
+            "survivor-connectivity",
+            PhaseOutcome::Fragmented {
+                components,
+                core_size,
+            },
+        ));
+    }
+
+    /// Closes the per-node send totals and hands the report back.
+    fn close(mut self) -> BuildReport {
+        self.report.messages.max_total_per_node =
+            self.sent_per_node.iter().copied().max().unwrap_or(0);
+        self.report
     }
 }
 
@@ -817,7 +819,9 @@ fn failure_error(report: &BuildReport) -> OverlayError {
 }
 
 /// Maps a partial-core clean-path report to the honest [`OverlayError::Fragmented`]:
-/// the recorded `survivor-connectivity` event carries the component counts.
+/// the recorded `survivor-connectivity` event carries the component counts. Without
+/// one the survivors stayed connected and only lost nodes an executor marked dead,
+/// so the core is the single component.
 fn fragmentation_error(report: &BuildReport) -> OverlayError {
     report
         .phases
@@ -832,21 +836,19 @@ fn fragmentation_error(report: &BuildReport) -> OverlayError {
             }),
             _ => None,
         })
-        .expect("a partial core is always preceded by a fragmentation event")
+        .unwrap_or(OverlayError::Fragmented {
+            components: 1,
+            core_size: report.survivor_ids.len(),
+        })
 }
 
 /// `(smaller id, larger id) -> (multiplicity at smaller, multiplicity at larger)`.
 type EdgeCounts = BTreeMap<(usize, usize), (usize, usize)>;
 
 /// The alive-to-alive slot edges of the final evolution graph, collected in a single
-/// pass over the protocol states and reused for both views the pipeline needs: the
-/// survivor-connectivity graph (original ids) and the remapped core graph.
-///
-/// `build_under_faults` previously walked every node's slots twice per faulted build
-/// — once per view; collecting once and deriving both halves that cost on the
-/// fault-sweep hot path without changing either graph (see
-/// [`SlotEdges::survivor_graph`] and [`SlotEdges::remapped`] for why the derived
-/// views are identical to the two-pass ones).
+/// pass over the construction summaries and reused for both views the pipeline
+/// needs: the survivor-connectivity graph (original ids) and the remapped core graph
+/// (see [`SlotEdges::remapped`] for why the derived core view equals a second pass).
 struct SlotEdges {
     /// Undirected edge multiplicities between alive nodes, keyed by ordered id pair.
     pairs: EdgeCounts,
@@ -863,25 +865,15 @@ impl SlotEdges {
     /// multiplicity the better-informed side holds — so the reconstruction depends on
     /// protocol state only, never on id order. Clean runs hold every edge
     /// symmetrically, and `max(k, k) == k` reproduces the exact fault-free graph.
-    fn collect(nodes: &[ExpanderNode], alive: &[bool]) -> SlotEdges {
-        SlotEdges::collect_from(nodes.iter().map(|n| (n.id().index(), n.slots())), alive)
-    }
-
-    /// [`SlotEdges::collect`] generalized over `(node index, slots)` pairs, so
-    /// the same single pass also serves `build_over`'s hand-off, which sees
-    /// per-node [`crate::seam::ExpanderSummary`] digests instead of protocol
-    /// states.
-    fn collect_from<'a>(
-        nodes: impl Iterator<Item = (usize, &'a [NodeId])>,
-        alive: &[bool],
-    ) -> SlotEdges {
+    fn from_summaries(nodes: &[ExpanderSummary], alive: &[bool]) -> SlotEdges {
         let mut pairs: EdgeCounts = BTreeMap::new();
         let mut self_loops = vec![0usize; alive.len()];
-        for (v, slots) in nodes {
+        for node in nodes {
+            let v = node.id.index();
             if !alive[v] {
                 continue;
             }
-            for &w in slots {
+            for &w in &node.slots {
                 let w = w.index();
                 if w == v {
                     self_loops[v] += 1;
@@ -984,6 +976,8 @@ fn remap_plan(plan: &FaultPlan, old_to_new: &[Option<usize>]) -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::BfsNode;
+    use crate::expander::ExpanderNode;
     use overlay_graph::generators;
     use overlay_netsim::caps::log2_ceil;
 
@@ -1078,6 +1072,34 @@ mod tests {
                 direct.messages.total_delivered
             );
         }
+    }
+
+    #[test]
+    fn phase_spec_resolves_overrides_against_defaults() {
+        let builder = OverlayBuilder::new(ExpanderParams::for_n(32))
+            .with_round_budget(RoundBudget::percent(150))
+            .with_reliable_transport(TransportConfig::default())
+            .with_phase_budget(PhaseId::Bfs, RoundBudget::percent(300))
+            .with_phase_transport(PhaseId::Binarize, TransportChoice::Bare);
+        let spec = |id| builder.phase_spec(id, 10);
+        // Overridden phases use their own values...
+        assert_eq!(
+            spec(PhaseId::Bfs).budget,
+            RoundBudget::percent(300).apply(10)
+        );
+        assert_eq!(spec(PhaseId::Binarize).transport, None);
+        // ...everything else inherits the builder-wide defaults.
+        assert_eq!(
+            spec(PhaseId::CreateExpander).budget,
+            RoundBudget::percent(150).apply(10)
+        );
+        assert_eq!(
+            spec(PhaseId::Bfs).transport,
+            Some(TransportConfig::default())
+        );
+        // Each phase draws from its own seed offset.
+        let seed = builder.params().seed;
+        assert_eq!(spec(PhaseId::Binarize).seed, seed.wrapping_add(2));
     }
 
     #[test]
@@ -1288,6 +1310,69 @@ mod tests {
     }
 
     #[test]
+    fn a_stalled_construction_is_booked_once_and_traced_as_incomplete() {
+        // The join past the clean schedule from the test above stalls
+        // `create-expander`: the pipeline stops there with exactly one
+        // simulated phase on the books.
+        let n = 32;
+        let g = generators::cycle(n);
+        let params = ExpanderParams::for_n(n).with_seed(13);
+        let plan = FaultPlan::default().with_join(
+            NodeId::from(3usize),
+            ExpanderNode::total_rounds(&params) + 2,
+        );
+        let buf = overlay_netsim::TraceBuffer::shared();
+        let report = OverlayBuilder::new(params)
+            .build_under_faults_traced(&g, &plan, buf.clone())
+            .expect("valid input");
+        assert_eq!(report.phase_metrics.len(), 1);
+        assert_eq!(report.phase_metrics[0].phase, "create-expander");
+        assert!(
+            matches!(
+                report.phases.as_slice(),
+                [(
+                    "create-expander",
+                    PhaseOutcome::Stalled {
+                        nodes_done: 31,
+                        nodes_total: 32,
+                        ..
+                    }
+                )]
+            ),
+            "phases: {:?}",
+            report.phases
+        );
+        assert!(report.result.is_none());
+
+        use overlay_netsim::TraceEvent;
+        let markers: Vec<TraceEvent> = buf
+            .borrow()
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::PhaseStart { .. } | TraceEvent::PhaseEnd { .. }
+                )
+            })
+            .cloned()
+            .collect();
+        assert_eq!(
+            markers,
+            vec![
+                TraceEvent::PhaseStart {
+                    phase: "create-expander"
+                },
+                TraceEvent::PhaseEnd {
+                    phase: "create-expander",
+                    rounds: report.rounds.construction,
+                    completed: false,
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn reliable_transport_is_transparent_on_a_clean_network() {
         let n = 64;
         let g = generators::cycle(n);
@@ -1375,6 +1460,19 @@ mod tests {
             OverlayError::Fragmented {
                 components: 4,
                 core_size: 10
+            }
+        );
+        // Survivors that stayed connected form a single component.
+        let connected = BuildReport {
+            phases: report.phases[..1].to_vec(),
+            survivor_ids: vec![NodeId::from(0usize), NodeId::from(2usize)],
+            ..report
+        };
+        assert_eq!(
+            fragmentation_error(&connected),
+            OverlayError::Fragmented {
+                components: 1,
+                core_size: 2
             }
         );
     }

@@ -1,18 +1,20 @@
 //! The executor seam: run the pipeline's phases on something other than the
 //! lockstep simulator.
 //!
-//! [`crate::OverlayBuilder::build_over`] drives the paper's three phases
-//! through a [`PhaseExecutor`] instead of calling the simulator directly. An
-//! executor receives a fully constructed [`Phase`] (every node's protocol
+//! [`crate::OverlayBuilder`] drives the paper's three phases through a
+//! [`PhaseExecutor`] on every entry point: [`crate::OverlayBuilder::build`]
+//! and the fault-injected builds on a [`SimExecutor`], and
+//! [`crate::OverlayBuilder::build_over`] on any executor. An executor receives a fully constructed [`Phase`] (every node's protocol
 //! state, for *all* `n` nodes) plus a [`PhaseExecSpec`] (seed, capacity cap,
 //! round budget, transport choice) and returns an [`ExecutedPhase`]: one
-//! [`Summarize::Summary`] per node plus the run facts the hand-offs need.
+//! [`Summarize::Summary`] per node plus the run facts the hand-offs and the
+//! report need.
 //!
 //! Two families of executors exist:
 //!
-//! * [`SimExecutor`] (here) — the existing deterministic simulator behind the
-//!   seam. `build_over(&g, &mut SimExecutor::default())` constructs exactly
-//!   the overlay `build(&g)` does.
+//! * [`SimExecutor`] (here) — the deterministic lockstep simulator behind the
+//!   seam. It also times each phase, brackets it with trace markers, and
+//!   returns the simulator's counters the report is built from.
 //! * The socket-backed runners in the `overlay-net` crate — one thread per
 //!   node over in-process channels, or multiple OS processes over TCP. They
 //!   replicate the simulator's delivery order, RNG seeding and stop rule, so
@@ -29,11 +31,16 @@
 
 use crate::bfs::BfsNode;
 use crate::expander::ExpanderNode;
-use crate::pipeline::{run_phase, Phase};
+use crate::pipeline::Phase;
 use crate::wellformed::BinarizeNode;
 use overlay_graph::NodeId;
+use overlay_netsim::trace::{SharedTraceSink, TraceEvent};
 use overlay_netsim::wire::{Wire, WireError};
-use overlay_netsim::{MetricsMode, ParallelismConfig, Protocol, SimConfig, TransportConfig};
+use overlay_netsim::{
+    MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator, TransportConfig,
+};
+use overlay_transport::Reliable;
+use std::time::{Duration, Instant};
 
 /// A protocol whose per-node end state can be digested into a small,
 /// wire-encodable summary sufficient for the pipeline's phase hand-offs.
@@ -164,14 +171,14 @@ impl Summarize for BinarizeNode {
     }
 }
 
-/// The run parameters [`crate::OverlayBuilder::build_over`] resolves for one
-/// phase, mirroring what [`crate::PhaseRunner::run`] feeds the simulator:
-/// the phase-offset seed, the NCC0 cap, the scaled round budget and the
-/// effective transport.
+/// The run parameters the pipeline driver behind every
+/// [`crate::OverlayBuilder`] entry point resolves for one phase: the
+/// phase-offset seed, the NCC0 cap, the scaled round budget and the effective
+/// transport.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseExecSpec {
     /// Seed for this phase's randomness (already offset by the phase index,
-    /// exactly as [`crate::PhaseRunner`] does).
+    /// see [`crate::PhaseId::index`]).
     pub seed: u64,
     /// The NCC0 per-node, per-round global message cap.
     pub ncc0_cap: usize,
@@ -196,6 +203,17 @@ pub struct ExecutedPhase<S> {
     /// Messages delivered to inboxes across the phase (best-effort bookkeeping
     /// for reporting; not part of the overlay-graph equivalence contract).
     pub delivered: u64,
+    /// Nodes that had finished when the phase ended (crashed nodes count as
+    /// finished), which a stalled phase reports. An executor that only sees
+    /// the global stop rule reports all nodes or none.
+    pub nodes_done: usize,
+    /// The simulator's counters for the phase: drops by cause, delays,
+    /// transport activity, crash and join events, per-round peaks and
+    /// per-node send totals. Empty from an executor that cannot observe them.
+    pub metrics: RunMetrics,
+    /// Host wall-clock time spent running the phase; zero from an executor
+    /// that does not time itself.
+    pub wall: Duration,
 }
 
 /// An engine that can execute one pipeline phase end to end.
@@ -226,16 +244,20 @@ pub trait PhaseExecutor {
 
 /// The lockstep simulator behind the [`PhaseExecutor`] seam.
 ///
-/// [`crate::OverlayBuilder::build_over`] with this executor constructs the
-/// same overlay as [`crate::OverlayBuilder::build`]; it exists so the
-/// simulator is *a* backend on equal footing with the socket-backed ones, and
-/// serves as the model the `overlay-net` equivalence tests compare against.
-#[derive(Clone, Copy, Debug, Default)]
+/// Every [`crate::OverlayBuilder`] entry point but
+/// [`crate::OverlayBuilder::build_over`] runs on this executor, configured
+/// from the builder; it is also the model the `overlay-net` equivalence tests
+/// compare the socket-backed executors against.
+#[derive(Clone, Debug, Default)]
 pub struct SimExecutor {
     /// Within-round parallelism policy (bitwise identical at any worker count).
     pub parallelism: ParallelismConfig,
     /// Metrics-retention mode for each phase's simulator.
     pub metrics_mode: MetricsMode,
+    /// Trace sink each phase's simulator streams its events into, bracketed
+    /// by [`TraceEvent::PhaseStart`] / [`TraceEvent::PhaseEnd`] markers;
+    /// `None` keeps runs untraced. Tracing never changes the run itself.
+    pub trace: Option<SharedTraceSink>,
 }
 
 impl PhaseExecutor for SimExecutor {
@@ -249,18 +271,66 @@ impl PhaseExecutor for SimExecutor {
     where
         P::Message: Wire + Send,
     {
-        let (_, nodes, _, faults) = phase.into_parts();
+        let (id, nodes, _, faults) = phase.into_parts();
         let config = SimConfig::ncc0_capped(spec.ncc0_cap, spec.seed, faults)
             .with_parallelism(self.parallelism)
             .with_metrics_mode(self.metrics_mode);
-        let run = run_phase(nodes, config, spec.budget, spec.transport, None);
-        Ok(ExecutedPhase {
-            summaries: run.nodes.iter().map(Summarize::summarize).collect(),
-            alive: run.alive,
-            rounds: run.outcome.rounds,
-            all_done: run.outcome.all_done,
-            delivered: run.metrics.total_delivered(),
-        })
+        if let Some(sink) = &self.trace {
+            sink.borrow_mut()
+                .record(TraceEvent::PhaseStart { phase: id.name() });
+        }
+        let started = Instant::now();
+        let trace = self.trace.clone();
+        let mut run = match spec.transport {
+            Some(cfg) => simulate(
+                nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect(),
+                config,
+                spec.budget,
+                trace,
+                |node: &Reliable<P>| node.inner().summarize(),
+            ),
+            None => simulate(nodes, config, spec.budget, trace, P::summarize),
+        };
+        run.wall = started.elapsed();
+        if let Some(sink) = &self.trace {
+            sink.borrow_mut().record(TraceEvent::PhaseEnd {
+                phase: id.name(),
+                rounds: run.rounds,
+                completed: run.all_done,
+            });
+        }
+        Ok(run)
+    }
+}
+
+/// Runs `nodes` on the simulator for at most `budget` message rounds and
+/// digests each final state with `summarize`. Behind the reliable transport,
+/// a node holding unacknowledged data is not done, so the phase keeps running
+/// until retransmissions land or the budget runs out.
+fn simulate<Q: Protocol, S>(
+    nodes: Vec<Q>,
+    config: SimConfig,
+    budget: usize,
+    trace: Option<SharedTraceSink>,
+    summarize: impl Fn(&Q) -> S,
+) -> ExecutedPhase<S> {
+    let mut sim = Simulator::new(nodes, config);
+    if let Some(sink) = trace {
+        sim.set_trace_sink(sink);
+    }
+    let outcome = sim.run(budget);
+    let metrics = sim.metrics().clone();
+    ExecutedPhase {
+        summaries: sim.nodes().iter().map(summarize).collect(),
+        alive: (0..sim.node_count())
+            .map(|i| sim.is_active(NodeId::from(i)))
+            .collect(),
+        rounds: outcome.rounds,
+        all_done: outcome.all_done,
+        delivered: metrics.total_delivered(),
+        nodes_done: sim.done_count(),
+        metrics,
+        wall: Duration::ZERO,
     }
 }
 

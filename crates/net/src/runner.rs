@@ -17,6 +17,9 @@
 //!   `0..n` are dropped without consuming cap budget. (Receive caps are not
 //!   mirrored: on clean runs they never bind, and the net runner is
 //!   clean-path only.)
+//! * **Faults.** A phase whose [`overlay_netsim::FaultPlan`] is not clean is
+//!   refused with [`NetError::Protocol`] rather than run loss-free: real
+//!   backends do not inject faults.
 //! * **Randomness.** Node `i` draws from `node_rng(seed, i)` — the simulator's
 //!   exact per-node stream — so random choices match decision for decision.
 //!
@@ -69,7 +72,13 @@ impl<B: Backend> PhaseExecutor for NetRunner<B> {
     where
         P::Message: Wire + Send,
     {
-        let (id, nodes, _clean_rounds, _faults) = phase.into_parts();
+        let (id, nodes, _clean_rounds, faults) = phase.into_parts();
+        if !faults.is_clean() {
+            return Err(NetError::Protocol(format!(
+                "the {} phase carries a fault plan, which real backends do not inject",
+                id.name()
+            )));
+        }
         let tag = id.index() as u8;
         match spec.transport {
             None => run_phase_net(&mut self.backend, tag, nodes, spec, bare_summary::<P>),
@@ -261,6 +270,9 @@ where
         rounds,
         all_done,
         delivered,
+        nodes_done: if all_done { n } else { 0 },
+        metrics: Default::default(),
+        wall: Default::default(),
     })
 }
 

@@ -53,16 +53,14 @@
 //!                   per-n wall-clocks land in `<dir>/scaling.md`
 //!   --max-n N       cap the scaling harness at cells with n <= N
 //!                   (default 65536)
-//!   --net-smoke     run the transport-equivalence smoke instead of sweeps:
-//!                   a handful of (n, seed) overlay builds through the real
-//!                   `overlay-net` channel backend (a thread per node, frames
-//!                   over mpsc), each asserted identical to the lockstep
-//!                   simulator's build; per-backend wall-clocks are printed
-//!   --traffic-smoke run the traffic-equivalence smoke instead of sweeps: the
-//!                   clean and hotspot traffic cells route their workload over
-//!                   both the lockstep simulator and the real channel backend,
-//!                   and every per-node router summary (the exact delivery
-//!                   ledgers included) is asserted identical
+//!   --backend-smoke run the backend-equivalence smoke instead of sweeps:
+//!                   a handful of (n, seed) overlay builds, then the clean and
+//!                   hotspot traffic cells' router workloads, each run over
+//!                   the lockstep simulator and the real `overlay-net` channel
+//!                   backend (a thread per node, frames over mpsc) and
+//!                   asserted identical (overlays, and per-node router
+//!                   summaries with their exact delivery ledgers); per-backend
+//!                   wall-clocks are printed
 //!   SCENARIO...     registry names to run (default: the whole registry)
 //! ```
 //!
@@ -100,8 +98,7 @@ struct Options {
     par_threshold: Option<usize>,
     scaling: bool,
     max_n: usize,
-    net_smoke: bool,
-    traffic_smoke: bool,
+    backend_smoke: bool,
     names: Vec<String>,
 }
 
@@ -123,8 +120,7 @@ fn parse_args() -> Result<Options, String> {
         par_threshold: None,
         scaling: false,
         max_n: 65536,
-        net_smoke: false,
-        traffic_smoke: false,
+        backend_smoke: false,
         names: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -164,8 +160,7 @@ fn parse_args() -> Result<Options, String> {
                 )
             }
             "--scaling" => opts.scaling = true,
-            "--net-smoke" => opts.net_smoke = true,
-            "--traffic-smoke" => opts.traffic_smoke = true,
+            "--backend-smoke" => opts.backend_smoke = true,
             "--max-n" => {
                 opts.max_n = value("--max-n")?
                     .parse()
@@ -176,8 +171,8 @@ fn parse_args() -> Result<Options, String> {
                     "usage: sweep_runner [--seeds N] [--first-seed S] [--dir PATH] \
                             [--check] [--full] [--compare [--no-run] [--write-thresholds]] \
                             [--trace NAME [--seed S]] [--explain] [--list] [--tag T] \
-                            [--par-threshold N] [--scaling [--max-n N]] [--net-smoke] \
-                            [--traffic-smoke] [SCENARIO...]"
+                            [--par-threshold N] [--scaling [--max-n N]] [--backend-smoke] \
+                            [SCENARIO...]"
                         .into(),
                 )
             }
@@ -433,42 +428,42 @@ fn run_scaling(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--net-smoke`: the in-gate half of `overlay-net`'s "simulator as model"
-/// contract. A few (n, seed) builds run through the real channel backend —
-/// node threads, mpsc frames, the wire codec, the α-synchronizer — and every
-/// final overlay must be identical to the simulator's. The TCP half (multiple
-/// OS processes over loopback sockets) runs as a separate CI step via
+/// `--backend-smoke`: the in-gate half of `overlay-net`'s "simulator as model"
+/// contract, over the real channel backend — node threads, mpsc frames, the
+/// wire codec, the α-synchronizer. The TCP half (multiple OS processes over
+/// loopback sockets) runs as a separate CI step via
 /// `examples/p2p_bootstrap.rs --backend tcp --spawn`.
-fn run_net_smoke() -> ExitCode {
+fn run_backend_smoke() -> ExitCode {
+    match build_smoke().and_then(|()| traffic_smoke()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("--backend-smoke: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// A few (n, seed) builds, each final overlay identical to the simulator's.
+fn build_smoke() -> Result<(), String> {
     use overlay_core::{ExpanderParams, OverlayBuilder, SimExecutor};
     use overlay_graph::generators;
     use overlay_net::{ChannelBackend, NetRunner};
 
-    let cases = [(64usize, 3u64), (96, 8), (128, 21)];
-    for (n, seed) in cases {
+    for (n, seed) in [(64usize, 3u64), (96, 8), (128, 21)] {
         let g = match seed % 2 {
             0 => generators::cycle(n),
             _ => generators::binary_tree(n),
         };
         let builder = OverlayBuilder::new(ExpanderParams::for_n(n).with_seed(seed));
         let sim_started = std::time::Instant::now();
-        let sim = match builder.build_over(&g, &mut SimExecutor::default()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--net-smoke: simulator build failed for n={n} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let sim = builder
+            .build_over(&g, &mut SimExecutor::default())
+            .map_err(|e| format!("simulator build failed for n={n} seed={seed}: {e}"))?;
         let sim_wall = sim_started.elapsed();
         let net_started = std::time::Instant::now();
-        let mut runner = NetRunner::new(ChannelBackend::new(n));
-        let net = match builder.build_over(&g, &mut runner) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--net-smoke: channel build failed for n={n} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let net = builder
+            .build_over(&g, &mut NetRunner::new(ChannelBackend::new(n)))
+            .map_err(|e| format!("channel build failed for n={n} seed={seed}: {e}"))?;
         let net_wall = net_started.elapsed();
         let same_expander = sim.expander.edge_count() == net.expander.edge_count()
             && sim
@@ -490,23 +485,20 @@ fn run_net_smoke() -> ExitCode {
             sim.messages.total_delivered,
         );
         if !same {
-            eprintln!(
-                "--net-smoke: channel backend diverged from the simulator (n={n} seed={seed})"
-            );
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "channel backend diverged from the simulator (n={n} seed={seed})"
+            ));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `--traffic-smoke`: the workload half of `overlay-net`'s "simulator as
-/// model" contract. The clean and hotspot traffic cells build their overlay
-/// under the simulator, then run the same pre-scheduled router workload over
-/// both the lockstep simulator and the real channel backend (a thread per
-/// router node, frames over mpsc). The per-node summaries carry the exact
-/// delivery ledgers — ids, hops, injection and arrival rounds — so asserting
-/// them identical pins the delivery *sets*, not just the counts.
-fn run_traffic_smoke() -> ExitCode {
+/// The clean and hotspot traffic cells build their overlay under the
+/// simulator, then route the same pre-scheduled workload over the simulator
+/// and the channel backend. The per-node summaries carry the exact delivery
+/// ledgers — ids, hops, injection and arrival rounds — so asserting them
+/// identical pins the delivery *sets*, not just the counts.
+fn traffic_smoke() -> Result<(), String> {
     use overlay_core::SimExecutor;
     use overlay_net::{ChannelBackend, NetRunner};
 
@@ -515,32 +507,19 @@ fn run_traffic_smoke() -> ExitCode {
             .find(name)
             .expect("traffic smoke cell registered")
             .clone();
+        let built = || format!("construction failed for {name} seed={seed}");
         let sim_started = std::time::Instant::now();
-        let sim = match scenario.traffic_summaries(seed, &mut SimExecutor::default()) {
-            Some(Ok(phase)) => phase,
-            Some(Err(e)) => {
-                eprintln!("--traffic-smoke: simulator traffic failed for {name} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("--traffic-smoke: construction failed for {name} seed={seed}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let sim = scenario
+            .traffic_summaries(seed, &mut SimExecutor::default())
+            .ok_or_else(built)?
+            .map_err(|e| format!("simulator traffic failed for {name} seed={seed}: {e}"))?;
         let sim_wall = sim_started.elapsed();
         let net_started = std::time::Instant::now();
         let mut runner = NetRunner::new(ChannelBackend::new(scenario.actual_n()));
-        let net = match scenario.traffic_summaries(seed, &mut runner) {
-            Some(Ok(phase)) => phase,
-            Some(Err(e)) => {
-                eprintln!("--traffic-smoke: channel traffic failed for {name} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("--traffic-smoke: construction failed for {name} seed={seed}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let net = scenario
+            .traffic_summaries(seed, &mut runner)
+            .ok_or_else(built)?
+            .map_err(|e| format!("channel traffic failed for {name} seed={seed}: {e}"))?;
         let net_wall = net_started.elapsed();
         let delivered: usize = sim.summaries.iter().map(|s| s.deliveries.len()).sum();
         let injected: u32 = sim.summaries.iter().map(|s| s.injected).sum();
@@ -553,13 +532,12 @@ fn run_traffic_smoke() -> ExitCode {
             sim.rounds,
         );
         if !same {
-            eprintln!(
-                "--traffic-smoke: channel backend diverged from the simulator ({name} seed={seed})"
-            );
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "channel backend diverged from the simulator ({name} seed={seed})"
+            ));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -580,11 +558,8 @@ fn main() -> ExitCode {
     if opts.scaling {
         return run_scaling(&opts);
     }
-    if opts.net_smoke {
-        return run_net_smoke();
-    }
-    if opts.traffic_smoke {
-        return run_traffic_smoke();
+    if opts.backend_smoke {
+        return run_backend_smoke();
     }
     if opts.no_run {
         return compare_committed(&opts);

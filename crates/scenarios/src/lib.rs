@@ -15,9 +15,9 @@
 //! [`Scenario::baseline`] pairing resolves, every derived twin differs from its
 //! baseline only along its declared [`VariantAxis`]), with indexed
 //! [`Registry::find`], tag/family/fault filtering, and a [`Registry::pairs`]
-//! iterator over `(baseline, twin)` couples. Run them all via the `experiments`
-//! binary of `overlay-bench`, sweep a single one with `examples/churn_sweep.rs`,
-//! or discover the cells with `sweep_runner --list [--tag T]`.
+//! iterator over `(baseline, twin)` couples. Run them all via `sweep_runner`,
+//! sweep a single one with `examples/churn_sweep.rs`, or discover the cells with
+//! `sweep_runner --list [--tag T]`.
 //!
 //! # Adding a matrix cell
 //!
@@ -38,7 +38,7 @@
 //!    baseline and axis, so [`Registry::pairs`] (and `sweep_runner --compare`'s
 //!    delta table) pick the couple up automatically.
 //! 3. There is no step 3: sweeps, aggregation, JSON reports, persisted
-//!    `reports/<name>.json` files and the experiments binary pick the new entry up
+//!    `reports/<name>.json` files and `sweep_runner` pick the new entry up
 //!    automatically — run `sweep_runner` once without `--check` to commit the
 //!    cell's 16-seed baseline.
 //!

@@ -1263,6 +1263,9 @@ impl Scenario {
                 rounds: 0,
                 all_done: true,
                 delivered: 0,
+                nodes_done: 0,
+                metrics: Default::default(),
+                wall: Default::default(),
             });
         }
         let table = next_hops(graph);
@@ -1346,6 +1349,7 @@ impl Scenario {
         let mut exec = SimExecutor {
             parallelism: self.parallelism,
             metrics_mode: self.metrics_mode,
+            trace: None,
         };
         let run = self
             .run_traffic_over(&spec, &graph, seed, 0, &mut exec)
@@ -1393,6 +1397,7 @@ impl Scenario {
         let mut exec = SimExecutor {
             parallelism: self.parallelism,
             metrics_mode: self.metrics_mode,
+            trace: None,
         };
         let mut tally = TrafficTally::new();
         for epoch in 0..spec.epochs {

@@ -76,3 +76,37 @@ proptest! {
         );
     }
 }
+
+/// A real backend refuses a faulted traffic phase instead of silently running
+/// it loss-free, while a clean cell still reproduces the simulator's delivery
+/// ledgers over the channel backend.
+#[test]
+fn channel_backend_refuses_fault_plans_and_matches_clean_traffic() {
+    use overlay_core::SimExecutor;
+    use overlay_net::{ChannelBackend, NetRunner};
+
+    let lossy = registry()
+        .find("traffic-zipf-lossy")
+        .expect("lossy traffic cell registered");
+    let mut runner = NetRunner::new(ChannelBackend::new(lossy.actual_n()));
+    assert!(matches!(
+        lossy.traffic_summaries(1, &mut runner),
+        Some(Err(_))
+    ));
+
+    let clean = registry()
+        .find("traffic-uniform")
+        .expect("clean traffic cell registered");
+    let sim = clean
+        .traffic_summaries(1, &mut SimExecutor::default())
+        .expect("construction succeeds")
+        .expect("the simulator cannot fail");
+    let mut runner = NetRunner::new(ChannelBackend::new(clean.actual_n()));
+    let net = clean
+        .traffic_summaries(1, &mut runner)
+        .expect("construction succeeds")
+        .expect("a clean phase runs on the channel backend");
+    assert_eq!(sim.summaries, net.summaries);
+    assert_eq!(sim.rounds, net.rounds);
+    assert_eq!(sim.all_done, net.all_done);
+}
