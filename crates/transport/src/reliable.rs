@@ -517,11 +517,13 @@ mod tests {
     use super::*;
     use overlay_netsim::{CapacityModel, FaultPlan, SimConfig, Simulator};
 
-    /// Each node sends `burst` uniquely-numbered messages to node 0 per round for
-    /// `rounds` rounds and records every payload it receives, in order.
+    /// Each node sends `burst` uniquely-numbered messages to each of its
+    /// `targets` (node 0 in a [`Beacon::fleet`]) per round for `rounds` rounds
+    /// and records every payload it receives, in order.
     #[derive(Clone, Debug)]
     struct Beacon {
         me: usize,
+        targets: Vec<NodeId>,
         burst: usize,
         rounds: usize,
         received: Vec<(usize, u32)>,
@@ -530,9 +532,31 @@ mod tests {
 
     impl Beacon {
         fn fleet(n: usize, burst: usize, rounds: usize) -> Vec<Beacon> {
+            Beacon::aimed(
+                n,
+                burst,
+                rounds,
+                |me| {
+                    if me == 0 {
+                        Vec::new()
+                    } else {
+                        vec![0]
+                    }
+                },
+            )
+        }
+
+        /// A fleet in which node `me` fires at `targets(me)`, in that order.
+        fn aimed(
+            n: usize,
+            burst: usize,
+            rounds: usize,
+            targets: impl Fn(usize) -> Vec<usize>,
+        ) -> Vec<Beacon> {
             (0..n)
                 .map(|me| Beacon {
                     me,
+                    targets: targets(me).into_iter().map(NodeId::from).collect(),
                     burst,
                     rounds,
                     received: Vec::new(),
@@ -542,9 +566,11 @@ mod tests {
         }
 
         fn fire(&self, ctx: &mut Ctx<'_, u32>, round: usize) {
-            for k in 0..self.burst {
-                let tag = (self.me * 1_000_000 + round * 1_000 + k) as u32;
-                ctx.send_global(NodeId::from(0usize), tag);
+            for (t, &to) in self.targets.iter().enumerate() {
+                for k in 0..self.burst {
+                    let tag = (self.me * 1_000_000 + round * 1_000 + t * self.burst + k) as u32;
+                    ctx.send_global(to, tag);
+                }
             }
         }
     }
@@ -553,9 +579,7 @@ mod tests {
         type Message = u32;
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            if self.me != 0 {
-                self.fire(ctx, 0);
-            }
+            self.fire(ctx, 0);
         }
 
         fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[Envelope<u32>]) {
@@ -563,9 +587,7 @@ mod tests {
                 self.received.push((env.from.index(), env.payload));
             }
             if ctx.round() < self.rounds {
-                if self.me != 0 {
-                    self.fire(ctx, ctx.round());
-                }
+                self.fire(ctx, ctx.round());
             } else {
                 self.done = true;
             }
@@ -838,6 +860,175 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11).0, run(12).0);
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Folds `bytes` into an FNV-1a hash.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Runs a wrapped protocol against its own outbox and folds every send it
+    /// makes — round, destination, channel and encoded message, in send
+    /// order — into a hash before passing the send on unchanged.
+    struct Tap<P: Protocol> {
+        inner: P,
+        sends: Vec<(NodeId, Channel, P::Message)>,
+        hash: u64,
+    }
+
+    impl<P: Protocol> Tap<P>
+    where
+        P::Message: Wire,
+    {
+        fn forward(&mut self, ctx: &mut Ctx<'_, P::Message>) {
+            let mut bytes = Vec::new();
+            for (to, channel, msg) in self.sends.drain(..) {
+                bytes.clear();
+                (ctx.round() as u64).encode(&mut bytes);
+                to.encode(&mut bytes);
+                channel.encode(&mut bytes);
+                msg.encode(&mut bytes);
+                self.hash = fnv(self.hash, &bytes);
+                ctx.send(to, channel, msg);
+            }
+        }
+    }
+
+    impl<P: Protocol> Protocol for Tap<P>
+    where
+        P::Message: Wire,
+    {
+        type Message = P::Message;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, P::Message>) {
+            self.inner.on_start(&mut ctx.derived(&mut self.sends));
+            self.forward(ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut Ctx<'_, P::Message>, inbox: &[Envelope<P::Message>]) {
+            self.inner
+                .on_round(&mut ctx.derived(&mut self.sends), inbox);
+            self.forward(ctx);
+        }
+
+        fn is_done(&self) -> bool {
+            self.inner.is_done()
+        }
+    }
+
+    /// One hash over every wire send of a seeded run plus each node's final
+    /// [`ReliableStats`], and those stats summed over the fleet.
+    fn wire_hash(
+        nodes: Vec<Beacon>,
+        cfg: TransportConfig,
+        sim: SimConfig,
+        limit: usize,
+    ) -> (u64, ReliableStats) {
+        let taps = wrap(nodes, cfg)
+            .into_iter()
+            .map(|inner| Tap {
+                inner,
+                sends: Vec::new(),
+                hash: FNV_OFFSET,
+            })
+            .collect();
+        let mut sim = Simulator::new(taps, sim);
+        let outcome = sim.run(limit);
+        let mut h = fnv(FNV_OFFSET, &(outcome.rounds as u64).to_le_bytes());
+        let mut total = ReliableStats::default();
+        for tap in sim.nodes() {
+            let s = tap.inner.stats();
+            total.delivered_payloads += s.delivered_payloads;
+            total.dupes_dropped += s.dupes_dropped;
+            total.retransmits += s.retransmits;
+            total.acks_sent += s.acks_sent;
+            total.abandoned += s.abandoned;
+            total.peers_failed += s.peers_failed;
+            h = fnv(h, &tap.hash.to_le_bytes());
+            for v in [
+                s.delivered_payloads,
+                s.dupes_dropped,
+                s.retransmits,
+                s.acks_sent,
+                s.abandoned,
+                s.peers_failed,
+            ] {
+                h = fnv(h, &v.to_le_bytes());
+            }
+        }
+        (h, total)
+    }
+
+    /// Pins the adapter's wire behaviour — which data, retransmits and acks go
+    /// out in which round and in which order — on the paths no committed
+    /// report exercises: a window small enough to queue, the failure detector
+    /// closing a crashed peer, an abandoned gap, and one node streaming to
+    /// more than 64 peers it first contacted in descending-id order.
+    #[test]
+    fn wire_order_is_pinned() {
+        let window = wire_hash(
+            Beacon::fleet(5, 5, 6),
+            TransportConfig::default().with_window(2),
+            SimConfig {
+                faults: FaultPlan::default().with_drop_prob(0.1).with_delays(0.3, 3),
+                ..lossy(31, 0.0)
+            },
+            200,
+        );
+        let detector = wire_hash(
+            Beacon::aimed(9, 2, 10, |me| vec![(me + 1) % 9, (me + 4) % 9]),
+            TransportConfig::default()
+                .with_max_retransmits(3)
+                .with_failure_detector(true),
+            SimConfig {
+                faults: FaultPlan::default()
+                    .with_drop_prob(0.3)
+                    .with_crash(NodeId::from(4usize), 3),
+                ..lossy(47, 0.0)
+            },
+            300,
+        );
+        let gap = wire_hash(
+            Beacon::fleet(3, 2, 80),
+            TransportConfig::default().with_max_retransmits(2),
+            SimConfig {
+                faults: FaultPlan::default().with_partition(vec![NodeId::from(0usize)], 2, 14),
+                ..lossy(53, 0.0)
+            },
+            200,
+        );
+        let fan = wire_hash(
+            Beacon::aimed(80, 1, 4, |me| {
+                if me == 7 {
+                    (0..80).rev().filter(|&t| t != 7).collect()
+                } else {
+                    vec![7]
+                }
+            }),
+            TransportConfig::default(),
+            lossy(59, 0.05),
+            200,
+        );
+        // Each setup reaches the path it is meant to pin.
+        assert!(window.1.retransmits > 0 && window.1.dupes_dropped > 0);
+        assert!(detector.1.peers_failed > 0);
+        assert!(gap.1.abandoned > 0 && gap.1.peers_failed == 0);
+        assert!(fan.1.retransmits > 0);
+        assert_eq!(
+            [window.0, detector.0, gap.0, fan.0],
+            [
+                0x3153_df6b_7a86_b615,
+                0x34ee_885b_e9a2_76db,
+                0x4e75_141e_985d_1760,
+                0x33c2_7cad_0515_e0bc,
+            ],
+            "the adapter's wire order changed"
+        );
     }
 
     #[test]
