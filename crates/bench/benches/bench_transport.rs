@@ -2,6 +2,10 @@
 //! construction pipeline in `Reliable<P>` cost on a *clean* path (pure overhead:
 //! sequencing, ack bookkeeping and the per-phase ack drain, with zero
 //! retransmissions), and what does a lossy run pay for actually using it?
+//!
+//! n=512 is the size of the repository benchmark's `build-lossy-reliable`
+//! workload (`perfbench/`), so the bare/reliable pair at that size is the
+//! clean-path share of that workload's transport tax.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use overlay_core::{ExpanderParams, OverlayBuilder, RoundBudget, TransportConfig};
@@ -11,7 +15,7 @@ use overlay_netsim::FaultPlan;
 fn bench_clean_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport_clean_overhead");
     group.sample_size(10);
-    for &n in &[64usize, 128] {
+    for &n in &[64usize, 128, 512] {
         let g = generators::cycle(n);
         group.bench_with_input(BenchmarkId::new("bare", n), &g, |b, g| {
             b.iter(|| {

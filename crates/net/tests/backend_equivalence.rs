@@ -7,7 +7,7 @@
 //! here) must reproduce its expander edges, BFS parents, binarized tree,
 //! round counts and delivered-message totals exactly.
 
-use overlay_core::{ExpanderParams, OverlayBuilder, OverlayResult, SimExecutor};
+use overlay_core::{ExpanderParams, OverlayBuilder, OverlayResult, SimExecutor, TransportConfig};
 use overlay_graph::{generators, DiGraph, NodeId};
 use overlay_net::{ChannelBackend, NetRunner, TcpBackend, TcpHost};
 use std::time::Duration;
@@ -83,6 +83,30 @@ fn channel_backend_matches_the_simulator_across_seeds() {
             .build_over(&g, &mut runner)
             .unwrap_or_else(|e| panic!("seed {seed}: channel build failed: {e}"));
         assert_same_overlay(&format!("n={n} seed={seed}"), &model, &subject);
+    }
+}
+
+/// The reliable-transport half: `Reliable<P>` wrapped around every phase runs
+/// on the channel backend exactly as in the simulator — same sequencing, acks
+/// and ack drain, hence the same overlay and the same per-phase rounds.
+#[test]
+fn reliable_transport_over_channel_backend_matches_the_simulator() {
+    for seed in 0u64..6 {
+        let n = 32 + (seed as usize % 3) * 16; // 32, 48, 64
+        let g = if seed % 2 == 0 {
+            generators::line(n)
+        } else {
+            generators::cycle(n)
+        };
+        let b = builder(n, seed).with_reliable_transport(TransportConfig::default());
+        let model = b
+            .build_over(&g, &mut SimExecutor::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: simulator build failed: {e}"));
+        let mut runner = NetRunner::new(ChannelBackend::new(n));
+        let subject = b
+            .build_over(&g, &mut runner)
+            .unwrap_or_else(|e| panic!("seed {seed}: channel build failed: {e}"));
+        assert_same_overlay(&format!("reliable n={n} seed={seed}"), &model, &subject);
     }
 }
 

@@ -51,24 +51,51 @@ pub struct TransportConfig {
 }
 
 impl TransportConfig {
+    /// Checks that every knob is in range. The fields are public, so a struct
+    /// literal can skip the `with_*` builders; [`crate::Protocol`] adapters
+    /// built on this config call this on construction.
+    ///
+    /// # Panics
+    ///
+    /// - if `retransmit_after < 2`: an acknowledgment takes two rounds to
+    ///   return, so a smaller timeout would retransmit every message every
+    ///   round;
+    /// - if `window == 0`: nothing could ever be sent, so a wrapped node would
+    ///   never finish;
+    /// - if `window > 64`: the adapter's selective acknowledgment is a 64-bit
+    ///   bitmap above the cumulative horizon, so an out-of-order delivery more
+    ///   than 64 sequences ahead could never be reported back and would be
+    ///   spuriously retransmitted until the horizon catches up — a wider
+    ///   window silently degrades instead of helping.
+    pub fn validate(&self) {
+        assert!(
+            self.retransmit_after >= 2,
+            "retransmit timeout below the 2-round ack round-trip: {}",
+            self.retransmit_after
+        );
+        assert!(self.window >= 1, "a zero window can never send");
+        assert!(
+            self.window <= 64,
+            "window {} exceeds the 64-sequence selective-ack bitmap",
+            self.window
+        );
+    }
+
     /// Returns the config with a different retransmission timeout (rounds).
     ///
     /// # Panics
     ///
-    /// Panics if `rounds < 2`: an acknowledgment takes two rounds to return, so a
-    /// smaller timeout would retransmit every message every round.
+    /// Panics if `rounds < 2` (see [`TransportConfig::validate`]).
     pub fn with_retransmit_after(mut self, rounds: usize) -> Self {
-        assert!(
-            rounds >= 2,
-            "retransmit timeout below the 2-round ack round-trip: {rounds}"
-        );
         self.retransmit_after = rounds;
+        self.validate();
         self
     }
 
     /// Returns the config with a different per-message retransmission budget.
     pub fn with_max_retransmits(mut self, max: usize) -> Self {
         self.max_retransmits = max;
+        self.validate();
         self
     }
 
@@ -76,25 +103,18 @@ impl TransportConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0` (nothing could ever be sent) or `window > 64`:
-    /// the adapter's selective acknowledgment is a 64-bit bitmap above the
-    /// cumulative horizon, so an out-of-order delivery more than 64 sequences
-    /// ahead could never be reported back and would be spuriously retransmitted
-    /// until the horizon catches up — a wider window silently degrades instead
-    /// of helping.
+    /// Panics if `window == 0` or `window > 64` (see
+    /// [`TransportConfig::validate`]).
     pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window >= 1, "a zero window can never send");
-        assert!(
-            window <= 64,
-            "window {window} exceeds the 64-sequence selective-ack bitmap"
-        );
         self.window = window;
+        self.validate();
         self
     }
 
     /// Returns the config with per-peer failure detection switched on or off.
     pub fn with_failure_detector(mut self, enabled: bool) -> Self {
         self.failure_detector = enabled;
+        self.validate();
         self
     }
 }
@@ -149,5 +169,47 @@ mod tests {
     #[should_panic(expected = "selective-ack bitmap")]
     fn rejects_window_beyond_the_ack_bitmap() {
         let _ = TransportConfig::default().with_window(65);
+    }
+
+    #[test]
+    fn validate_accepts_the_defaults_and_the_range_ends() {
+        TransportConfig::default().validate();
+        for window in [1, 64] {
+            TransportConfig {
+                window,
+                ..TransportConfig::default()
+            }
+            .validate();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero window")]
+    fn validate_rejects_a_zero_window_literal() {
+        TransportConfig {
+            window: 0,
+            ..TransportConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "selective-ack bitmap")]
+    fn validate_rejects_a_window_literal_beyond_the_ack_bitmap() {
+        TransportConfig {
+            window: 65,
+            ..TransportConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "ack round-trip")]
+    fn validate_rejects_a_sub_roundtrip_timeout_literal() {
+        TransportConfig {
+            retransmit_after: 1,
+            ..TransportConfig::default()
+        }
+        .validate();
     }
 }

@@ -37,6 +37,29 @@
 //! `dupes_dropped` counters (reported through [`overlay_netsim::Ctx`]'s
 //! `note_*` hooks), and each node keeps local [`ReliableStats`] totals.
 //!
+//! # Cost
+//!
+//! A wrapped node's work in a round is `O(active peers + sends + inbox)`,
+//! not proportional to every peer it has ever contacted. The paper's
+//! construction has a node touch `O(log n)` peers per round but contact a
+//! number that grows with `n` over a run, so this is what keeps the layer's
+//! cost on the protocol's own scale.
+//!
+//! - **Layout.** Per-peer state lives in a `Vec` slab, in first-contact
+//!   order, reached through a `NodeId → slot` hash index; the index is only
+//!   probed, never iterated. Outgoing entries are a `VecDeque` per peer,
+//!   and out-of-order receptions are a sorted `Vec` above a cumulative
+//!   horizon.
+//! - **Worklist.** A node keeps the peers with an outgoing entry or an owed
+//!   ack on a worklist. Only these peers are visited by the round's send
+//!   steps and by [`Reliable::has_outstanding`]; a peer leaves the list once
+//!   its stream is drained and its ack is sent.
+//! - **Send order.** The worklist is sorted by [`overlay_graph::NodeId`]
+//!   once per round, before the send steps. New data goes out in `NodeId`
+//!   order, then retransmits in `(NodeId, seq)` order, then acks in `NodeId`
+//!   order. That is the order of a walk over every peer by id, so the wire
+//!   (and every report built on it) does not depend on the storage layout.
+//!
 //! # Example
 //!
 //! ```

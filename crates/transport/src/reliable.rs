@@ -4,7 +4,8 @@
 use overlay_graph::NodeId;
 use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Channel, Ctx, Envelope, Protocol, TransportConfig};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The wire format of the reliable layer: the inner protocol's payloads wrapped
 /// with a per-peer sequence number, plus acknowledgment messages.
@@ -81,29 +82,27 @@ impl<M: Wire> Wire for TransportMsg<M> {
 struct OutEntry<M> {
     seq: u32,
     channel: Channel,
-    payload: M,
-    /// Round of the most recent send; `None` while the window keeps it queued.
-    last_sent: Option<usize>,
-    /// Times this entry went on the wire (1 = the original send).
-    sends: usize,
     /// Acknowledged (or abandoned): the payload will never be sent again.
     closed: bool,
+    /// Tick of the most recent send (meaningless while `sends == 0`).
+    last_sent: u32,
+    /// Times this entry went on the wire (1 = the original send); `0` while
+    /// the window keeps it queued.
+    sends: u32,
+    payload: M,
 }
 
 /// Per-peer transport state: the outgoing stream (sender role) and the incoming
 /// dedup horizon (receiver role).
 #[derive(Clone, Debug)]
 struct PeerState<M> {
+    id: NodeId,
     /// Sequence number the next enqueued payload will get.
     next_seq: u32,
-    /// Outgoing entries in sequence order; sent entries form a prefix.
-    outgoing: VecDeque<OutEntry<M>>,
     /// Number of sent, unacknowledged, unabandoned entries (window occupancy).
-    in_flight: usize,
+    in_flight: u32,
     /// Every incoming sequence `<= cum_recv` has been delivered.
     cum_recv: u32,
-    /// Incoming sequences received out of order (all `> cum_recv`).
-    above: BTreeSet<u32>,
     /// An ack to this peer is owed at the end of the current round.
     ack_pending: bool,
     /// The failure detector's verdict: the peer exhausted a retransmission
@@ -111,53 +110,86 @@ struct PeerState<M> {
     /// rest of the run. Only ever set when
     /// [`TransportConfig::failure_detector`] is on.
     dead: bool,
-}
-
-impl<M> Default for PeerState<M> {
-    fn default() -> Self {
-        PeerState {
-            next_seq: 1,
-            outgoing: VecDeque::new(),
-            in_flight: 0,
-            cum_recv: 0,
-            above: BTreeSet::new(),
-            ack_pending: false,
-            dead: false,
-        }
-    }
+    /// The peer is on the adapter's active worklist.
+    listed: bool,
+    /// Outgoing entries in sequence order; sent entries form a prefix.
+    outgoing: VecDeque<OutEntry<M>>,
+    /// Incoming sequences received out of order, ascending (all `> cum_recv`,
+    /// and never `cum_recv + 1`: that one is absorbed into the horizon).
+    above: Vec<u32>,
 }
 
 impl<M> PeerState<M> {
+    fn new(id: NodeId) -> Self {
+        PeerState {
+            id,
+            next_seq: 1,
+            in_flight: 0,
+            cum_recv: 0,
+            ack_pending: false,
+            dead: false,
+            listed: false,
+            outgoing: VecDeque::new(),
+            above: Vec::new(),
+        }
+    }
+
     /// Records an incoming data sequence; returns `true` if it is fresh (first
     /// delivery) and `false` for a duplicate.
     fn receive_data(&mut self, seq: u32) -> bool {
-        if seq <= self.cum_recv || !self.above.insert(seq) {
+        if seq <= self.cum_recv {
             return false;
         }
-        while self.above.remove(&(self.cum_recv + 1)) {
-            self.cum_recv += 1;
+        if seq == self.cum_recv + 1 {
+            self.cum_recv = seq;
+            self.absorb_run();
+            return true;
         }
-        true
+        match self.above.binary_search(&seq) {
+            Ok(_) => false,
+            Err(at) => {
+                self.above.insert(at, seq);
+                self.absorb_run();
+                true
+            }
+        }
     }
 
     /// Advances the cumulative horizon past sequences the sender declared
     /// closed (acknowledged or abandoned — they will never be re-sent, so
     /// waiting for them would wedge the ack stream forever).
     fn advance_floor(&mut self, floor: u32) {
-        while self.cum_recv + 1 < floor {
-            self.cum_recv += 1;
-            self.above.remove(&self.cum_recv);
+        if floor > self.cum_recv + 1 {
+            self.cum_recv = floor - 1;
+            let passed = self.above.partition_point(|&seq| seq <= self.cum_recv);
+            self.above.drain(..passed);
+            // The gap may have been the only thing holding back a received run.
+            self.absorb_run();
         }
-        // The gap may have been the only thing holding back a received run.
-        while self.above.remove(&(self.cum_recv + 1)) {
-            self.cum_recv += 1;
+    }
+
+    /// Moves the received run `cum_recv + 1, cum_recv + 2, …` at the front of
+    /// `above` into the cumulative horizon.
+    fn absorb_run(&mut self) {
+        let run = self
+            .above
+            .iter()
+            .zip(self.cum_recv + 1..)
+            .take_while(|(&seq, want)| seq == *want)
+            .count();
+        if run > 0 {
+            self.cum_recv += run as u32;
+            self.above.drain(..run);
         }
     }
 
     /// Applies an acknowledgment from this peer to the outgoing stream.
     fn handle_ack(&mut self, cum: u32, sel: u64) {
         for entry in self.outgoing.iter_mut() {
-            if entry.closed || entry.last_sent.is_none() {
+            if entry.sends == 0 {
+                break;
+            }
+            if entry.closed {
                 continue;
             }
             let acked = entry.seq <= cum
@@ -190,15 +222,39 @@ impl<M> PeerState<M> {
     fn ack_message(&self) -> TransportMsg<M> {
         let mut sel = 0u64;
         for &seq in &self.above {
-            let off = u64::from(seq - self.cum_recv - 1);
-            if off < 64 {
-                sel |= 1u64 << off;
+            let off = seq - self.cum_recv - 1;
+            if off >= 64 {
+                break;
             }
+            sel |= 1u64 << off;
         }
         TransportMsg::Ack {
             cum: self.cum_recv,
             sel,
         }
+    }
+}
+
+/// Hashes a [`NodeId`] — a dense index assigned by the runner, not a value a
+/// remote party chooses — with one multiply instead of SipHash's rounds. The
+/// peer index is only ever probed, never iterated, so its order cannot leak
+/// into the wire.
+#[derive(Clone, Copy, Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 }
 
@@ -243,7 +299,17 @@ pub struct ReliableStats {
 pub struct Reliable<P: Protocol> {
     inner: P,
     config: TransportConfig,
-    peers: BTreeMap<NodeId, PeerState<P::Message>>,
+    /// Per-peer state, one slot per peer ever contacted, in first-contact
+    /// order.
+    peers: Vec<PeerState<P::Message>>,
+    /// Slot in `peers` of each contacted peer.
+    index: HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>,
+    /// The peers (id and slot) with an outgoing entry or an owed ack — the
+    /// only peers a round's send steps visit. Sorted by [`NodeId`] before
+    /// those steps, so the wire order is the same as a walk over every peer in
+    /// id order; peers with nothing left to do are dropped after the acks, so
+    /// between callbacks it holds exactly the peers with outgoing entries.
+    active: Vec<(NodeId, u32)>,
     /// Reusable buffer the inner protocol's sends are collected in each round.
     inner_outbox: Vec<(NodeId, Channel, P::Message)>,
     /// Reusable buffer of fresh payloads handed to the inner protocol.
@@ -253,18 +319,25 @@ pub struct Reliable<P: Protocol> {
     /// round number, so the adapter behaves identically whether it is driven
     /// by the lockstep simulator or by a socket backend whose synchronizer
     /// has no global round counter to offer. Under the simulator the tick
-    /// equals `ctx.round()` exactly, so this is a pure refactor there.
-    tick: usize,
+    /// equals `ctx.round()` exactly.
+    tick: u32,
     stats: ReliableStats,
 }
 
 impl<P: Protocol> Reliable<P> {
     /// Wraps `inner` with the given transport configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is out of range (see [`TransportConfig::validate`]).
     pub fn new(inner: P, config: TransportConfig) -> Self {
+        config.validate();
         Reliable {
             inner,
             config,
-            peers: BTreeMap::new(),
+            peers: Vec::new(),
+            index: HashMap::default(),
+            active: Vec::new(),
             inner_outbox: Vec::new(),
             inner_inbox: Vec::new(),
             tick: 0,
@@ -299,15 +372,40 @@ impl<P: Protocol> Reliable<P> {
 
     /// `true` while some outgoing payload is neither acknowledged nor abandoned.
     pub fn has_outstanding(&self) -> bool {
-        self.peers.values().any(|p| !p.outgoing.is_empty())
+        !self.active.is_empty()
+    }
+
+    /// The slot of peer `id`, allocating one on first contact.
+    fn slot(&mut self, id: NodeId) -> usize {
+        let next = self.peers.len();
+        let slot = *self
+            .index
+            .entry(id)
+            .or_insert_with(|| u32::try_from(next).expect("fewer than 2^32 peers"))
+            as usize;
+        if slot == next {
+            self.peers.push(PeerState::new(id));
+        }
+        slot
+    }
+
+    /// Puts the peer in `slot` on the active worklist (once).
+    fn activate(&mut self, slot: usize) {
+        let peer = &mut self.peers[slot];
+        if !peer.listed {
+            peer.listed = true;
+            self.active.push((peer.id, slot as u32));
+        }
     }
 
     /// Moves the inner protocol's sends of this round into the per-peer outgoing
-    /// queues (assigning sequence numbers in send order).
+    /// queues (assigning sequence numbers in send order), then orders the
+    /// worklist for the send steps.
     fn collect_inner_sends(&mut self) {
         let mut out = std::mem::take(&mut self.inner_outbox);
         for (to, channel, payload) in out.drain(..) {
-            let peer = self.peers.entry(to).or_default();
+            let slot = self.slot(to);
+            let peer = &mut self.peers[slot];
             if peer.dead {
                 // The failure detector already wrote this peer off: the
                 // payload can never be delivered, so it is abandoned at the
@@ -320,39 +418,42 @@ impl<P: Protocol> Reliable<P> {
             peer.outgoing.push_back(OutEntry {
                 seq,
                 channel,
-                payload,
-                last_sent: None,
-                sends: 0,
                 closed: false,
+                last_sent: 0,
+                sends: 0,
+                payload,
             });
+            self.activate(slot);
         }
         self.inner_outbox = out;
+        self.active.sort_unstable_by_key(|&(id, _)| id);
     }
 
     /// Sends queued entries while each peer's window has room (in sequence order,
     /// so per-peer FIFO is preserved — on a clean network this is exactly the
     /// inner protocol's send order).
     fn open_windows(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
-        let round = self.tick;
-        for (&to, peer) in self.peers.iter_mut() {
-            if peer.in_flight >= self.config.window {
+        let window = self.config.window as u32;
+        for &(_, slot) in &self.active {
+            let peer = &mut self.peers[slot as usize];
+            if peer.in_flight >= window {
                 continue;
             }
             let floor = peer.floor();
-            let mut budget = self.config.window - peer.in_flight;
+            let mut budget = window - peer.in_flight;
             for entry in peer.outgoing.iter_mut() {
                 if budget == 0 {
                     break;
                 }
-                if entry.last_sent.is_some() || entry.closed {
+                if entry.sends > 0 || entry.closed {
                     continue;
                 }
-                entry.last_sent = Some(round);
+                entry.last_sent = self.tick;
                 entry.sends = 1;
                 peer.in_flight += 1;
                 budget -= 1;
                 ctx.send(
-                    to,
+                    peer.id,
                     entry.channel,
                     TransportMsg::Data {
                         seq: entry.seq,
@@ -368,18 +469,22 @@ impl<P: Protocol> Reliable<P> {
     /// abandons entries that exhausted their retransmission budget.
     fn retransmit_due(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
         let round = self.tick;
-        for (&to, peer) in self.peers.iter_mut() {
+        let after = self.config.retransmit_after as u32;
+        let max_sends = self.config.max_retransmits as u64;
+        for &(_, slot) in &self.active {
+            let peer = &mut self.peers[slot as usize];
             // Computed before any abandonment below: the floor only ever rises,
             // so a conservatively low value is always safe to advertise.
             let floor = peer.floor();
             for entry in peer.outgoing.iter_mut() {
-                let Some(last_sent) = entry.last_sent else {
-                    continue;
-                };
-                if entry.closed || round - last_sent < self.config.retransmit_after {
+                if entry.sends == 0 {
+                    // Sent entries form a prefix: the rest is still queued.
+                    break;
+                }
+                if entry.closed || round - entry.last_sent < after {
                     continue;
                 }
-                if entry.sends > self.config.max_retransmits {
+                if u64::from(entry.sends) > max_sends {
                     // The peer has ignored every attempt: presumed gone for good.
                     entry.closed = true;
                     peer.in_flight -= 1;
@@ -395,7 +500,7 @@ impl<P: Protocol> Reliable<P> {
                         for other in peer.outgoing.iter_mut() {
                             if !other.closed {
                                 other.closed = true;
-                                if other.last_sent.is_some() {
+                                if other.sends > 0 {
                                     peer.in_flight -= 1;
                                 }
                                 self.stats.abandoned += 1;
@@ -405,12 +510,12 @@ impl<P: Protocol> Reliable<P> {
                     }
                     continue;
                 }
-                entry.last_sent = Some(round);
+                entry.last_sent = round;
                 entry.sends += 1;
                 self.stats.retransmits += 1;
                 ctx.note_retransmit();
                 ctx.send(
-                    to,
+                    peer.id,
                     entry.channel,
                     TransportMsg::Data {
                         seq: entry.seq,
@@ -425,7 +530,8 @@ impl<P: Protocol> Reliable<P> {
 
     /// Sends one cumulative/selective ack to every peer that delivered data this
     /// round (fresh or duplicate: a duplicate usually means our previous ack was
-    /// lost, so it must be re-sent).
+    /// lost, so it must be re-sent), then drops every peer with nothing left in
+    /// its outgoing stream from the worklist.
     ///
     /// Acks always travel the global channel: sequence numbers are per-peer, so
     /// one ack summarizes both channels' data, and every protocol currently run
@@ -435,15 +541,18 @@ impl<P: Protocol> Reliable<P> {
     /// limitation; local-channel ack discipline (CONGEST-compatible
     /// piggybacking) is future work.
     fn send_acks(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
-        for (&to, peer) in self.peers.iter_mut() {
-            if !peer.ack_pending {
-                continue;
+        let (peers, stats) = (&mut self.peers, &mut self.stats);
+        self.active.retain(|&(_, slot)| {
+            let peer = &mut peers[slot as usize];
+            if peer.ack_pending {
+                peer.ack_pending = false;
+                stats.acks_sent += 1;
+                ctx.note_ack();
+                ctx.send_global(peer.id, peer.ack_message());
             }
-            peer.ack_pending = false;
-            self.stats.acks_sent += 1;
-            ctx.note_ack();
-            ctx.send_global(to, peer.ack_message());
-        }
+            peer.listed = !peer.outgoing.is_empty();
+            peer.listed
+        });
     }
 }
 
@@ -465,15 +574,22 @@ impl<P: Protocol> Protocol for Reliable<P> {
         self.tick += 1;
         // 1. Unwrap the round's arrivals: acks update the outgoing streams, fresh
         //    data is queued for the inner protocol, duplicates are suppressed.
+        //    An inbox holds runs from one sender, so the last lookup is reused.
         self.inner_inbox.clear();
+        let mut last: Option<(NodeId, usize)> = None;
         for env in inbox {
-            let peer = self.peers.entry(env.from).or_default();
+            let slot = match last {
+                Some((from, slot)) if from == env.from => slot,
+                _ => self.slot(env.from),
+            };
+            last = Some((env.from, slot));
             match &env.payload {
                 TransportMsg::Data {
                     seq,
                     floor,
                     payload,
                 } => {
+                    let peer = &mut self.peers[slot];
                     peer.ack_pending = true;
                     peer.advance_floor(*floor);
                     if peer.receive_data(*seq) {
@@ -487,8 +603,9 @@ impl<P: Protocol> Protocol for Reliable<P> {
                         self.stats.dupes_dropped += 1;
                         ctx.note_dupe_dropped();
                     }
+                    self.activate(slot);
                 }
-                TransportMsg::Ack { cum, sel } => peer.handle_ack(*cum, *sel),
+                TransportMsg::Ack { cum, sel } => self.peers[slot].handle_ack(*cum, *sel),
             }
         }
 
@@ -828,7 +945,7 @@ mod tests {
 
     #[test]
     fn floor_advances_the_receiver_past_closed_sequences() {
-        let mut p: PeerState<u32> = PeerState::default();
+        let mut p: PeerState<u32> = PeerState::new(NodeId::from(1usize));
         assert!(p.receive_data(2));
         assert!(p.receive_data(5));
         assert_eq!(p.cum_recv, 0);
@@ -1032,8 +1149,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "zero window")]
+    fn new_rejects_an_unchecked_config_literal() {
+        // A zero window would queue every payload forever and run the
+        // simulation to its round limit instead of failing here.
+        let cfg = TransportConfig {
+            window: 0,
+            ..TransportConfig::default()
+        };
+        let _ = Reliable::new(Beacon::fleet(2, 1, 1).remove(1), cfg);
+    }
+
+    #[test]
     fn peer_state_dedup_and_ack_bookkeeping() {
-        let mut p: PeerState<u32> = PeerState::default();
+        let mut p: PeerState<u32> = PeerState::new(NodeId::from(1usize));
         assert!(p.receive_data(1));
         assert!(!p.receive_data(1), "repeat of the cum prefix is a dupe");
         assert!(p.receive_data(3), "out-of-order reception is fresh");
