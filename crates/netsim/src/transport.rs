@@ -182,34 +182,4 @@ mod tests {
             .validate();
         }
     }
-
-    #[test]
-    #[should_panic(expected = "zero window")]
-    fn validate_rejects_a_zero_window_literal() {
-        TransportConfig {
-            window: 0,
-            ..TransportConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "selective-ack bitmap")]
-    fn validate_rejects_a_window_literal_beyond_the_ack_bitmap() {
-        TransportConfig {
-            window: 65,
-            ..TransportConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "ack round-trip")]
-    fn validate_rejects_a_sub_roundtrip_timeout_literal() {
-        TransportConfig {
-            retransmit_after: 1,
-            ..TransportConfig::default()
-        }
-        .validate();
-    }
 }

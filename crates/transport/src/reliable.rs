@@ -82,14 +82,14 @@ impl<M: Wire> Wire for TransportMsg<M> {
 struct OutEntry<M> {
     seq: u32,
     channel: Channel,
-    /// Acknowledged (or abandoned): the payload will never be sent again.
-    closed: bool,
+    payload: M,
     /// Tick of the most recent send (meaningless while `sends == 0`).
     last_sent: u32,
     /// Times this entry went on the wire (1 = the original send); `0` while
     /// the window keeps it queued.
     sends: u32,
-    payload: M,
+    /// Acknowledged (or abandoned): the payload will never be sent again.
+    closed: bool,
 }
 
 /// Per-peer transport state: the outgoing stream (sender role) and the incoming
@@ -99,10 +99,15 @@ struct PeerState<M> {
     id: NodeId,
     /// Sequence number the next enqueued payload will get.
     next_seq: u32,
+    /// Outgoing entries in sequence order; sent entries form a prefix.
+    outgoing: VecDeque<OutEntry<M>>,
     /// Number of sent, unacknowledged, unabandoned entries (window occupancy).
     in_flight: u32,
     /// Every incoming sequence `<= cum_recv` has been delivered.
     cum_recv: u32,
+    /// Incoming sequences received out of order, ascending (all `> cum_recv`,
+    /// and never `cum_recv + 1`: that one is absorbed into the horizon).
+    above: Vec<u32>,
     /// An ack to this peer is owed at the end of the current round.
     ack_pending: bool,
     /// The failure detector's verdict: the peer exhausted a retransmission
@@ -112,11 +117,6 @@ struct PeerState<M> {
     dead: bool,
     /// The peer is on the adapter's active worklist.
     listed: bool,
-    /// Outgoing entries in sequence order; sent entries form a prefix.
-    outgoing: VecDeque<OutEntry<M>>,
-    /// Incoming sequences received out of order, ascending (all `> cum_recv`,
-    /// and never `cum_recv + 1`: that one is absorbed into the horizon).
-    above: Vec<u32>,
 }
 
 impl<M> PeerState<M> {
@@ -124,13 +124,13 @@ impl<M> PeerState<M> {
         PeerState {
             id,
             next_seq: 1,
+            outgoing: VecDeque::new(),
             in_flight: 0,
             cum_recv: 0,
+            above: Vec::new(),
             ack_pending: false,
             dead: false,
             listed: false,
-            outgoing: VecDeque::new(),
-            above: Vec::new(),
         }
     }
 
@@ -235,10 +235,11 @@ impl<M> PeerState<M> {
     }
 }
 
-/// Hashes a [`NodeId`] — a dense index assigned by the runner, not a value a
-/// remote party chooses — with one multiply instead of SipHash's rounds. The
-/// peer index is only ever probed, never iterated, so its order cannot leak
-/// into the wire.
+/// Hashes a [`NodeId`] with one multiply instead of SipHash's rounds. Node ids
+/// are the runners' dense indices `0..n`, which a multiply spreads evenly; the
+/// protection SipHash gives against crafted colliding keys is not needed
+/// for them. The peer index is only probed, never iterated, so the hash
+/// cannot change what goes on the wire.
 #[derive(Clone, Copy, Debug, Default)]
 struct IdHasher(u64);
 
@@ -399,8 +400,7 @@ impl<P: Protocol> Reliable<P> {
     }
 
     /// Moves the inner protocol's sends of this round into the per-peer outgoing
-    /// queues (assigning sequence numbers in send order), then orders the
-    /// worklist for the send steps.
+    /// queues (assigning sequence numbers in send order).
     fn collect_inner_sends(&mut self) {
         let mut out = std::mem::take(&mut self.inner_outbox);
         for (to, channel, payload) in out.drain(..) {
@@ -418,21 +418,24 @@ impl<P: Protocol> Reliable<P> {
             peer.outgoing.push_back(OutEntry {
                 seq,
                 channel,
-                closed: false,
+                payload,
                 last_sent: 0,
                 sends: 0,
-                payload,
+                closed: false,
             });
             self.activate(slot);
         }
         self.inner_outbox = out;
-        self.active.sort_unstable_by_key(|&(id, _)| id);
     }
 
     /// Sends queued entries while each peer's window has room (in sequence order,
     /// so per-peer FIFO is preserved — on a clean network this is exactly the
     /// inner protocol's send order).
+    ///
+    /// The first send step of a callback, so it puts the worklist in id order
+    /// for all of them.
     fn open_windows(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
+        self.active.sort_unstable_by_key(|&(id, _)| id);
         let window = self.config.window as u32;
         for &(_, slot) in &self.active {
             let peer = &mut self.peers[slot as usize];
@@ -469,7 +472,7 @@ impl<P: Protocol> Reliable<P> {
     /// abandons entries that exhausted their retransmission budget.
     fn retransmit_due(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
         let round = self.tick;
-        let after = self.config.retransmit_after as u32;
+        let after = u32::try_from(self.config.retransmit_after).unwrap_or(u32::MAX);
         let max_sends = self.config.max_retransmits as u64;
         for &(_, slot) in &self.active {
             let peer = &mut self.peers[slot as usize];
@@ -574,7 +577,8 @@ impl<P: Protocol> Protocol for Reliable<P> {
         self.tick += 1;
         // 1. Unwrap the round's arrivals: acks update the outgoing streams, fresh
         //    data is queued for the inner protocol, duplicates are suppressed.
-        //    An inbox holds runs from one sender, so the last lookup is reused.
+        //    Senders stage their messages together, so an inbox comes in runs
+        //    from one sender and the last peer lookup is reused along a run.
         self.inner_inbox.clear();
         let mut last: Option<(NodeId, usize)> = None;
         for env in inbox {
@@ -1148,16 +1152,40 @@ mod tests {
         );
     }
 
+    /// Wraps one beacon under a config written as a struct literal, which
+    /// skips the `with_*` builders' checks.
+    fn wrap_literal(cfg: TransportConfig) -> Reliable<Beacon> {
+        Reliable::new(Beacon::fleet(2, 1, 1).remove(1), cfg)
+    }
+
     #[test]
     #[should_panic(expected = "zero window")]
-    fn new_rejects_an_unchecked_config_literal() {
-        // A zero window would queue every payload forever and run the
-        // simulation to its round limit instead of failing here.
-        let cfg = TransportConfig {
+    fn new_rejects_a_zero_window_literal() {
+        // It would queue every payload forever: the node is never done and
+        // the run goes to its round limit instead of failing here.
+        wrap_literal(TransportConfig {
             window: 0,
             ..TransportConfig::default()
-        };
-        let _ = Reliable::new(Beacon::fleet(2, 1, 1).remove(1), cfg);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "selective-ack bitmap")]
+    fn new_rejects_a_window_literal_beyond_the_ack_bitmap() {
+        wrap_literal(TransportConfig {
+            window: 65,
+            ..TransportConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ack round-trip")]
+    fn new_rejects_a_sub_roundtrip_timeout_literal() {
+        // It would retransmit every in-flight payload every round.
+        wrap_literal(TransportConfig {
+            retransmit_after: 1,
+            ..TransportConfig::default()
+        });
     }
 
     #[test]
