@@ -47,9 +47,10 @@
 //!
 //! - **Layout.** Per-peer state lives in a `Vec` slab, in first-contact
 //!   order, reached through a `NodeId → slot` hash index; the index is only
-//!   probed, never iterated. Outgoing entries are a `VecDeque` per peer,
-//!   and out-of-order receptions are a sorted `Vec` above a cumulative
-//!   horizon.
+//!   probed, never iterated. A node's outgoing entries to all peers share a
+//!   second slab that reuses freed slots, each peer's stream a list through
+//!   it, so the entries a round touches sit together. Out-of-order
+//!   receptions are a sorted `Vec` above a cumulative horizon.
 //! - **Worklist.** A node keeps the peers with an outgoing entry or an owed
 //!   ack on a worklist. Only these peers are visited by the round's send
 //!   steps and by [`Reliable::has_outstanding`]; a peer leaves the list once

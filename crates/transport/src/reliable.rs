@@ -4,7 +4,7 @@
 use overlay_graph::NodeId;
 use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Channel, Ctx, Envelope, Protocol, TransportConfig};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The wire format of the reliable layer: the inner protocol's payloads wrapped
@@ -77,6 +77,9 @@ impl<M: Wire> Wire for TransportMsg<M> {
     }
 }
 
+/// The end of a stream in the outgoing-entry slab.
+const NIL: u32 = u32::MAX;
+
 /// One queued-or-in-flight outgoing payload.
 #[derive(Clone, Debug)]
 struct OutEntry<M> {
@@ -90,17 +93,47 @@ struct OutEntry<M> {
     sends: u32,
     /// Acknowledged (or abandoned): the payload will never be sent again.
     closed: bool,
+    /// The next entry of the same peer's stream, or [`NIL`].
+    next: u32,
+}
+
+/// Every outgoing entry of one node, to all its peers, in one `Vec`. Each
+/// peer's stream is a list through it in sequence order. Slots are reused,
+/// so the slab stays as small as the node's live entries and a round's
+/// entries share a few cache lines.
+#[derive(Clone, Debug)]
+struct OutSlab<M> {
+    entries: Vec<OutEntry<M>>,
+    free: Vec<u32>,
+}
+
+impl<M> OutSlab<M> {
+    fn insert(&mut self, entry: OutEntry<M>) -> u32 {
+        match self.free.pop() {
+            Some(at) => {
+                self.entries[at as usize] = entry;
+                at
+            }
+            None => {
+                self.entries.push(entry);
+                u32::try_from(self.entries.len() - 1).expect("fewer than 2^32 entries")
+            }
+        }
+    }
 }
 
 /// Per-peer transport state: the outgoing stream (sender role) and the incoming
 /// dedup horizon (receiver role).
 #[derive(Clone, Debug)]
-struct PeerState<M> {
+struct PeerState {
     id: NodeId,
     /// Sequence number the next enqueued payload will get.
     next_seq: u32,
-    /// Outgoing entries in sequence order; sent entries form a prefix.
-    outgoing: VecDeque<OutEntry<M>>,
+    /// First slab entry of the outgoing stream ([`NIL`] when it is empty).
+    /// The stream runs in sequence order; sent entries form a prefix.
+    head: u32,
+    /// Last slab entry of the outgoing stream ([`NIL`] when it is empty).
+    tail: u32,
     /// Number of sent, unacknowledged, unabandoned entries (window occupancy).
     in_flight: u32,
     /// Every incoming sequence `<= cum_recv` has been delivered.
@@ -119,12 +152,13 @@ struct PeerState<M> {
     listed: bool,
 }
 
-impl<M> PeerState<M> {
+impl PeerState {
     fn new(id: NodeId) -> Self {
         PeerState {
             id,
             next_seq: 1,
-            outgoing: VecDeque::new(),
+            head: NIL,
+            tail: NIL,
             in_flight: 0,
             cum_recv: 0,
             above: Vec::new(),
@@ -183,9 +217,28 @@ impl<M> PeerState<M> {
         }
     }
 
+    /// `true` while some outgoing payload is neither acknowledged nor
+    /// abandoned.
+    fn has_outgoing(&self) -> bool {
+        self.head != NIL
+    }
+
+    /// Appends `entry` to the outgoing stream.
+    fn push<M>(&mut self, slab: &mut OutSlab<M>, entry: OutEntry<M>) {
+        let at = slab.insert(entry);
+        match self.tail {
+            NIL => self.head = at,
+            tail => slab.entries[tail as usize].next = at,
+        }
+        self.tail = at;
+    }
+
     /// Applies an acknowledgment from this peer to the outgoing stream.
-    fn handle_ack(&mut self, cum: u32, sel: u64) {
-        for entry in self.outgoing.iter_mut() {
+    fn handle_ack<M>(&mut self, slab: &mut OutSlab<M>, cum: u32, sel: u64) {
+        let mut at = self.head;
+        while at != NIL {
+            let entry = &mut slab.entries[at as usize];
+            at = entry.next;
             if entry.sends == 0 {
                 break;
             }
@@ -200,26 +253,33 @@ impl<M> PeerState<M> {
                 self.in_flight -= 1;
             }
         }
-        self.pop_closed();
+        self.pop_closed(slab);
     }
 
-    /// Drops the closed prefix of the outgoing queue.
-    fn pop_closed(&mut self) {
-        while self.outgoing.front().is_some_and(|e| e.closed) {
-            self.outgoing.pop_front();
+    /// Drops the closed prefix of the outgoing stream.
+    fn pop_closed<M>(&mut self, slab: &mut OutSlab<M>) {
+        while self.head != NIL && slab.entries[self.head as usize].closed {
+            slab.free.push(self.head);
+            self.head = slab.entries[self.head as usize].next;
+        }
+        if self.head == NIL {
+            self.tail = NIL;
         }
     }
 
     /// The sender-side stream floor: the lowest sequence still open (nothing
-    /// below it will ever be re-sent). The outgoing queue's front is never
+    /// below it will ever be re-sent). The outgoing stream's head is never
     /// closed (`pop_closed` maintains that invariant), so its sequence — or
-    /// `next_seq` when the queue is drained — is exactly that bound.
-    fn floor(&self) -> u32 {
-        self.outgoing.front().map_or(self.next_seq, |e| e.seq)
+    /// `next_seq` when the stream is drained — is exactly that bound.
+    fn floor<M>(&self, slab: &OutSlab<M>) -> u32 {
+        match self.head {
+            NIL => self.next_seq,
+            head => slab.entries[head as usize].seq,
+        }
     }
 
     /// The cumulative/selective ack summarizing everything received so far.
-    fn ack_message(&self) -> TransportMsg<M> {
+    fn ack_message<M>(&self) -> TransportMsg<M> {
         let mut sel = 0u64;
         for &seq in &self.above {
             let off = seq - self.cum_recv - 1;
@@ -302,7 +362,9 @@ pub struct Reliable<P: Protocol> {
     config: TransportConfig,
     /// Per-peer state, one slot per peer ever contacted, in first-contact
     /// order.
-    peers: Vec<PeerState<P::Message>>,
+    peers: Vec<PeerState>,
+    /// The outgoing entries of every peer's stream.
+    out: OutSlab<P::Message>,
     /// Slot in `peers` of each contacted peer.
     index: HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>,
     /// The peers (id and slot) with an outgoing entry or an owed ack — the
@@ -337,6 +399,10 @@ impl<P: Protocol> Reliable<P> {
             inner,
             config,
             peers: Vec::new(),
+            out: OutSlab {
+                entries: Vec::new(),
+                free: Vec::new(),
+            },
             index: HashMap::default(),
             active: Vec::new(),
             inner_outbox: Vec::new(),
@@ -415,14 +481,18 @@ impl<P: Protocol> Reliable<P> {
             }
             let seq = peer.next_seq;
             peer.next_seq += 1;
-            peer.outgoing.push_back(OutEntry {
-                seq,
-                channel,
-                payload,
-                last_sent: 0,
-                sends: 0,
-                closed: false,
-            });
+            peer.push(
+                &mut self.out,
+                OutEntry {
+                    seq,
+                    channel,
+                    payload,
+                    last_sent: 0,
+                    sends: 0,
+                    closed: false,
+                    next: NIL,
+                },
+            );
             self.activate(slot);
         }
         self.inner_outbox = out;
@@ -442,12 +512,12 @@ impl<P: Protocol> Reliable<P> {
             if peer.in_flight >= window {
                 continue;
             }
-            let floor = peer.floor();
+            let floor = peer.floor(&self.out);
             let mut budget = window - peer.in_flight;
-            for entry in peer.outgoing.iter_mut() {
-                if budget == 0 {
-                    break;
-                }
+            let mut at = peer.head;
+            while at != NIL && budget > 0 {
+                let entry = &mut self.out.entries[at as usize];
+                at = entry.next;
                 if entry.sends > 0 || entry.closed {
                     continue;
                 }
@@ -478,8 +548,11 @@ impl<P: Protocol> Reliable<P> {
             let peer = &mut self.peers[slot as usize];
             // Computed before any abandonment below: the floor only ever rises,
             // so a conservatively low value is always safe to advertise.
-            let floor = peer.floor();
-            for entry in peer.outgoing.iter_mut() {
+            let floor = peer.floor(&self.out);
+            let mut at = peer.head;
+            while at != NIL {
+                let entry = &mut self.out.entries[at as usize];
+                at = entry.next;
                 if entry.sends == 0 {
                     // Sent entries form a prefix: the rest is still queued.
                     break;
@@ -500,7 +573,10 @@ impl<P: Protocol> Reliable<P> {
                         // dead peer costs one give-up, not one per message.
                         peer.dead = true;
                         self.stats.peers_failed += 1;
-                        for other in peer.outgoing.iter_mut() {
+                        let mut other_at = peer.head;
+                        while other_at != NIL {
+                            let other = &mut self.out.entries[other_at as usize];
+                            other_at = other.next;
                             if !other.closed {
                                 other.closed = true;
                                 if other.sends > 0 {
@@ -527,7 +603,7 @@ impl<P: Protocol> Reliable<P> {
                     },
                 );
             }
-            peer.pop_closed();
+            peer.pop_closed(&mut self.out);
         }
     }
 
@@ -553,7 +629,7 @@ impl<P: Protocol> Reliable<P> {
                 ctx.note_ack();
                 ctx.send_global(peer.id, peer.ack_message());
             }
-            peer.listed = !peer.outgoing.is_empty();
+            peer.listed = peer.has_outgoing();
             peer.listed
         });
     }
@@ -609,7 +685,9 @@ impl<P: Protocol> Protocol for Reliable<P> {
                     }
                     self.activate(slot);
                 }
-                TransportMsg::Ack { cum, sel } => self.peers[slot].handle_ack(*cum, *sel),
+                TransportMsg::Ack { cum, sel } => {
+                    self.peers[slot].handle_ack(&mut self.out, *cum, *sel)
+                }
             }
         }
 
@@ -949,7 +1027,7 @@ mod tests {
 
     #[test]
     fn floor_advances_the_receiver_past_closed_sequences() {
-        let mut p: PeerState<u32> = PeerState::new(NodeId::from(1usize));
+        let mut p = PeerState::new(NodeId::from(1usize));
         assert!(p.receive_data(2));
         assert!(p.receive_data(5));
         assert_eq!(p.cum_recv, 0);
@@ -1190,13 +1268,13 @@ mod tests {
 
     #[test]
     fn peer_state_dedup_and_ack_bookkeeping() {
-        let mut p: PeerState<u32> = PeerState::new(NodeId::from(1usize));
+        let mut p = PeerState::new(NodeId::from(1usize));
         assert!(p.receive_data(1));
         assert!(!p.receive_data(1), "repeat of the cum prefix is a dupe");
         assert!(p.receive_data(3), "out-of-order reception is fresh");
         assert!(!p.receive_data(3), "repeat above cum is a dupe");
         assert_eq!(p.cum_recv, 1);
-        match p.ack_message() {
+        match p.ack_message::<u32>() {
             TransportMsg::Ack { cum, sel } => {
                 assert_eq!(cum, 1);
                 assert_eq!(sel, 0b10, "seq 3 is cum+2, bit 1");
