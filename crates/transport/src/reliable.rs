@@ -364,7 +364,7 @@ pub struct Reliable<P: Protocol> {
     /// order.
     peers: Vec<PeerState>,
     /// The outgoing entries of every peer's stream.
-    out: OutSlab<P::Message>,
+    outgoing: OutSlab<P::Message>,
     /// Slot in `peers` of each contacted peer.
     index: HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>,
     /// The peers (id and slot) with an outgoing entry or an owed ack — the
@@ -399,7 +399,7 @@ impl<P: Protocol> Reliable<P> {
             inner,
             config,
             peers: Vec::new(),
-            out: OutSlab {
+            outgoing: OutSlab {
                 entries: Vec::new(),
                 free: Vec::new(),
             },
@@ -482,7 +482,7 @@ impl<P: Protocol> Reliable<P> {
             let seq = peer.next_seq;
             peer.next_seq += 1;
             peer.push(
-                &mut self.out,
+                &mut self.outgoing,
                 OutEntry {
                     seq,
                     channel,
@@ -512,11 +512,11 @@ impl<P: Protocol> Reliable<P> {
             if peer.in_flight >= window {
                 continue;
             }
-            let floor = peer.floor(&self.out);
+            let floor = peer.floor(&self.outgoing);
             let mut budget = window - peer.in_flight;
             let mut at = peer.head;
             while at != NIL && budget > 0 {
-                let entry = &mut self.out.entries[at as usize];
+                let entry = &mut self.outgoing.entries[at as usize];
                 at = entry.next;
                 if entry.sends > 0 || entry.closed {
                     continue;
@@ -548,10 +548,10 @@ impl<P: Protocol> Reliable<P> {
             let peer = &mut self.peers[slot as usize];
             // Computed before any abandonment below: the floor only ever rises,
             // so a conservatively low value is always safe to advertise.
-            let floor = peer.floor(&self.out);
+            let floor = peer.floor(&self.outgoing);
             let mut at = peer.head;
             while at != NIL {
-                let entry = &mut self.out.entries[at as usize];
+                let entry = &mut self.outgoing.entries[at as usize];
                 at = entry.next;
                 if entry.sends == 0 {
                     // Sent entries form a prefix: the rest is still queued.
@@ -575,7 +575,7 @@ impl<P: Protocol> Reliable<P> {
                         self.stats.peers_failed += 1;
                         let mut other_at = peer.head;
                         while other_at != NIL {
-                            let other = &mut self.out.entries[other_at as usize];
+                            let other = &mut self.outgoing.entries[other_at as usize];
                             other_at = other.next;
                             if !other.closed {
                                 other.closed = true;
@@ -603,7 +603,7 @@ impl<P: Protocol> Reliable<P> {
                     },
                 );
             }
-            peer.pop_closed(&mut self.out);
+            peer.pop_closed(&mut self.outgoing);
         }
     }
 
@@ -686,7 +686,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
                     self.activate(slot);
                 }
                 TransportMsg::Ack { cum, sel } => {
-                    self.peers[slot].handle_ack(&mut self.out, *cum, *sel)
+                    self.peers[slot].handle_ack(&mut self.outgoing, *cum, *sel)
                 }
             }
         }
